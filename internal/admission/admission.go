@@ -407,7 +407,7 @@ func (c *Controller) AdmitRequest(ctx context.Context, t *Tenant, stream bool) (
 		}
 	}
 	waited := time.Now()
-	if !t.state.inflight.acquire(ctx, t.maxWait) {
+	if !t.state.inflight.acquire(ctx, t.maxWait, nil) {
 		releaseGlobal()
 		c.metrics.requests.With(id, "over_quota").Inc()
 		return nil, &LimitError{Sentinel: ErrOverQuota, RetryAfter: retryAfterQuota,
@@ -457,15 +457,16 @@ func (c *Controller) admitGlobal(t *Tenant) bool {
 // IngestSlot admits one row into a model's fold path through the
 // bounded admission queue: one folder runs, up to IngestQueue waiters
 // queue FIFO, everything past that sheds immediately with over_quota.
-// The returned release must be called after the fold. A nil controller
+// The returned release must be called after the fold. onWait, when
+// non-nil, runs before the caller parks in the queue. A nil controller
 // (or a disabled queue) admits at zero cost.
-func (c *Controller) IngestSlot(ctx context.Context, t *Tenant, model string) (release func(), err error) {
+func (c *Controller) IngestSlot(ctx context.Context, t *Tenant, model string, onWait func()) (release func(), err error) {
 	if c == nil || c.cfg.IngestQueue < 0 {
 		return func() {}, nil
 	}
 	q := c.ingestQueue(model)
 	waited := time.Now()
-	if !q.acquire(ctx, c.cfg.MaxWait) {
+	if !q.acquire(ctx, c.cfg.MaxWait, onWait) {
 		c.metrics.queueSheds.With(tenantLabel(t)).Inc()
 		return nil, &LimitError{Sentinel: ErrOverQuota, RetryAfter: retryAfterQuota,
 			Detail: fmt.Sprintf("ingest admission queue for model %q is full", model)}

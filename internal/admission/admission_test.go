@@ -292,14 +292,14 @@ func TestRowGateBatchBucketIsSeparate(t *testing.T) {
 func TestIngestSlotQueueBounds(t *testing.T) {
 	c := newTestController(t, Config{IngestQueue: 1, MaxWait: 20 * time.Millisecond})
 	ctx := context.Background()
-	release, err := c.IngestSlot(ctx, nil, "m")
+	release, err := c.IngestSlot(ctx, nil, "m", nil)
 	if err != nil {
 		t.Fatalf("first slot: %v", err)
 	}
 	errs := make(chan error, 2)
 	for i := 0; i < 2; i++ {
 		go func() {
-			r, err := c.IngestSlot(ctx, nil, "m")
+			r, err := c.IngestSlot(ctx, nil, "m", nil)
 			if err == nil {
 				r()
 			}
@@ -314,12 +314,60 @@ func TestIngestSlotQueueBounds(t *testing.T) {
 		}
 	}
 	release()
-	r2, err := c.IngestSlot(ctx, nil, "m")
+	r2, err := c.IngestSlot(ctx, nil, "m", nil)
 	if err != nil {
 		t.Fatalf("slot after release: %v", err)
 	}
 	r2()
 	c.DropIngestQueue("m")
+}
+
+// TestWaitHooksRunBeforeBlocking: a row gate out of tokens and a
+// contended ingest queue run the caller's hook before they park (the
+// streaming handlers flush their buffered lines there), and the
+// uncontended fast paths never run it.
+func TestWaitHooksRunBeforeBlocking(t *testing.T) {
+	c := newTestController(t, Config{
+		MaxWait:     time.Second,
+		IngestQueue: 1,
+		Defaults:    Limits{RowsPerSecond: 20, RowBurst: 20},
+	})
+	tn, _ := c.Authenticate("")
+	ctx := context.Background()
+	waits := 0
+	g := c.RowGate(tn, false)
+	g.OnWait(func() { waits++ })
+	if err := g.Take(ctx); err != nil || waits != 0 {
+		t.Fatalf("row within the burst: err %v, hook ran %d times", err, waits)
+	}
+	for i := 0; i < 64 && waits == 0; i++ { // past the burst each row waits ~50ms
+		if err := g.Take(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if waits == 0 {
+		t.Fatal("rows waited for tokens without running the hook")
+	}
+	g.Close()
+
+	release, err := c.IngestSlot(ctx, tn, "m", func() { t.Error("uncontended slot ran its wait hook") })
+	if err != nil {
+		t.Fatal(err)
+	}
+	queued := make(chan struct{})
+	got := make(chan error)
+	go func() {
+		r, err := c.IngestSlot(ctx, tn, "m", func() { close(queued) })
+		if err == nil {
+			r()
+		}
+		got <- err
+	}()
+	<-queued // the hook ran with the slot still held
+	release()
+	if err := <-got; err != nil {
+		t.Fatalf("queued slot: %v", err)
+	}
 }
 
 func TestReloadKeepsStateAndLastGood(t *testing.T) {

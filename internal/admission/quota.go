@@ -43,10 +43,11 @@ func (q *quota) tryAcquire() bool {
 	return false
 }
 
-// acquire takes a slot, waiting up to wait while queued (FIFO). It
-// reports false when the waiting room is full, the wait expires, or ctx
-// is done first. A false return means the caller sheds.
-func (q *quota) acquire(ctx context.Context, wait time.Duration) bool {
+// acquire takes a slot, waiting up to wait while queued (FIFO); onWait,
+// when non-nil, runs once queued, before the wait. It reports false
+// when the waiting room is full, the wait expires, or ctx is done
+// first. A false return means the caller sheds.
+func (q *quota) acquire(ctx context.Context, wait time.Duration, onWait func()) bool {
 	q.mu.Lock()
 	if q.cap <= 0 || (q.used < q.cap && len(q.waiters) == 0) {
 		q.used++
@@ -60,6 +61,9 @@ func (q *quota) acquire(ctx context.Context, wait time.Duration) bool {
 	ready := make(chan struct{})
 	q.waiters = append(q.waiters, ready)
 	q.mu.Unlock()
+	if onWait != nil {
+		onWait()
+	}
 
 	timer := time.NewTimer(wait)
 	defer timer.Stop()

@@ -30,7 +30,7 @@ func TestQuotaBoundsAndWaitingRoom(t *testing.T) {
 	}
 	// One waiter fits in the room; a second is rejected immediately.
 	start := time.Now()
-	if q.acquire(context.Background(), time.Millisecond) {
+	if q.acquire(context.Background(), time.Millisecond, nil) {
 		t.Fatal("waiter should time out while both slots are held")
 	}
 	if time.Since(start) > 500*time.Millisecond {
@@ -50,7 +50,7 @@ func TestQuotaFIFOHandoff(t *testing.T) {
 		i := i
 		go func() {
 			defer wg.Done()
-			if q.acquire(context.Background(), time.Second) {
+			if q.acquire(context.Background(), time.Second, nil) {
 				order <- i
 				q.release()
 			}
@@ -75,10 +75,10 @@ func TestQuotaFIFOHandoff(t *testing.T) {
 func TestQuotaWaitingRoomOverflowShedsFast(t *testing.T) {
 	q := newQuota(1, 1)
 	q.tryAcquire()
-	go q.acquire(context.Background(), time.Second) // fills the room
+	go q.acquire(context.Background(), time.Second, nil) // fills the room
 	time.Sleep(10 * time.Millisecond)
 	start := time.Now()
-	if q.acquire(context.Background(), time.Second) {
+	if q.acquire(context.Background(), time.Second, nil) {
 		t.Fatal("overflow acquire should fail fast")
 	}
 	if d := time.Since(start); d > 100*time.Millisecond {
@@ -92,7 +92,7 @@ func TestQuotaContextCancel(t *testing.T) {
 	q.tryAcquire()
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan bool, 1)
-	go func() { done <- q.acquire(ctx, time.Minute) }()
+	go func() { done <- q.acquire(ctx, time.Minute, nil) }()
 	time.Sleep(10 * time.Millisecond)
 	cancel()
 	select {
@@ -114,7 +114,7 @@ func TestQuotaSetCapDrainsWaiters(t *testing.T) {
 	q := newQuota(1, 5)
 	q.tryAcquire()
 	done := make(chan bool, 1)
-	go func() { done <- q.acquire(context.Background(), time.Minute) }()
+	go func() { done <- q.acquire(context.Background(), time.Minute, nil) }()
 	time.Sleep(10 * time.Millisecond)
 	q.setCap(2, 5) // growing the cap should admit the waiter immediately
 	select {
@@ -135,7 +135,7 @@ func TestQuotaReleaseHandsSlotExactlyOnce(t *testing.T) {
 	q := newQuota(1, 1)
 	q.tryAcquire()
 	got := make(chan bool, 1)
-	go func() { got <- q.acquire(context.Background(), time.Second) }()
+	go func() { got <- q.acquire(context.Background(), time.Second, nil) }()
 	time.Sleep(10 * time.Millisecond)
 	q.release()
 	if ok := <-got; !ok {

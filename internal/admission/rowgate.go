@@ -28,6 +28,7 @@ type RowGate struct {
 	maxWait   time.Duration
 	allowance float64 // tokens drawn but not yet spent
 	allowed   uint64
+	onWait    func()
 }
 
 // RowGate builds the gate for one streaming request. batch selects the
@@ -49,6 +50,10 @@ func (c *Controller) RowGate(t *Tenant, batch bool) *RowGate {
 	}
 	return g
 }
+
+// OnWait sets a function Take runs before it sleeps for tokens, so a
+// streaming handler can flush its buffered output before it blocks.
+func (g *RowGate) OnWait(fn func()) { g.onWait = fn }
 
 // Take admits one row, sleeping up to the tenant's bounded wait for
 // tokens to refill. A rate_limited error means the caller should emit
@@ -82,6 +87,9 @@ func (g *RowGate) Take(ctx context.Context) error {
 			g.c.metrics.rows.With(tenantLabel(g.tenant), g.stream, "shed").Inc()
 			return &LimitError{Sentinel: ErrRateLimited, RetryAfter: retry,
 				Detail: fmt.Sprintf("tenant %q %s row rate exceeded", tenantLabel(g.tenant), g.stream)}
+		}
+		if g.onWait != nil {
+			g.onWait()
 		}
 		timer := time.NewTimer(retry)
 		select {

@@ -226,6 +226,12 @@ func (s *Session) enqueueMarker(err error) {
 	s.drain()
 }
 
+// Flush dispatches the rows pushed so far as a (possibly short) chunk.
+// Callers that feed the session from a client stream call it before
+// they block waiting for more rows, so those rows' acks are not held
+// back until a full chunk accumulates. The error is session-fatal only.
+func (s *Session) Flush() error { return s.flushChunk() }
+
 // flushChunk validates and dispatches the chunk under construction.
 func (s *Session) flushChunk() error {
 	if len(s.buf) == 0 {

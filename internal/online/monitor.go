@@ -206,6 +206,39 @@ func (s *Stream) recordGateSample(res RepublishResult, eps float64, max int) {
 	}
 }
 
+// pruneVersionGE drops the GE records of versions the store no longer
+// retains. Without it the map gains an entry per promotion forever, and
+// every checkpoint encodes it whole; with it the map is bounded by the
+// store's retention (unbounded retention keeps every record, as the
+// store does). Stores that cannot serve old versions are left alone.
+// The store is queried outside the stream lock.
+func (m *Manager) pruneVersionGE(st *Stream) {
+	rb, ok := m.store.(RollbackStore)
+	if !ok {
+		return
+	}
+	st.mu.Lock()
+	versions := make([]int, 0, len(st.versionGE))
+	for v := range st.versionGE {
+		versions = append(versions, v)
+	}
+	st.mu.Unlock()
+	var gone []int
+	for _, v := range versions {
+		if _, ok := rb.GetVersion(st.name, v); !ok {
+			gone = append(gone, v)
+		}
+	}
+	if len(gone) == 0 {
+		return
+	}
+	st.mu.Lock()
+	for _, v := range gone {
+		delete(st.versionGE, v)
+	}
+	st.mu.Unlock()
+}
+
 // annotateVersionGE attaches a GE measurement to store version
 // metadata when the store supports it.
 func (m *Manager) annotateVersionGE(name string, version int, ge float64) {
@@ -362,6 +395,7 @@ func (m *Manager) maybeAutoRollback(ctx context.Context, name string, tr alert.T
 	st.appendGE(GESample{T: now, ServedGE: bestGE, Version: newVersion, Source: "rollback"},
 		m.cfg.GEHistorySize)
 	st.mu.Unlock()
+	m.pruneVersionGE(st)
 	m.annotateVersionGE(name, newVersion, bestGE)
 	m.cfg.Logger.Warn("auto-rollback restored prior version",
 		"model", name, "rule", tr.Rule.Name,

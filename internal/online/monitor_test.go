@@ -2,7 +2,9 @@ package online
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"os"
 	"testing"
 	"time"
 
@@ -12,11 +14,13 @@ import (
 )
 
 // versionedStore extends fakeStore with the RollbackStore capability:
-// every version is kept, and Rollback re-publishes an old version as
-// the new head — the same shape as server.Registry over the WAL store.
+// the newest retain versions are kept (every version when retain is 0),
+// and Rollback re-publishes an old version as the new head — the same
+// shape as server.Registry over the WAL store.
 type versionedStore struct {
 	fakeStore
 	history map[string][]*core.Rules // index = version-1
+	retain  int
 }
 
 func newVersionedStore() *versionedStore {
@@ -40,7 +44,7 @@ func (v *versionedStore) GetVersion(name string, version int) (*core.Rules, bool
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	h := v.history[name]
-	if version < 1 || version > len(h) {
+	if version < 1 || version > len(h) || (v.retain > 0 && version <= len(h)-v.retain) {
 		return nil, false
 	}
 	return h[version-1], true
@@ -489,5 +493,101 @@ func TestGEEvalTick(t *testing.T) {
 			t.Fatalf("eval tick produced %d samples, want >= 2", n)
 		}
 		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// TestVersionGEBoundedByRetention: the per-version GE record, and the
+// checkpoint that encodes it, hold only the versions the store still
+// retains however many promotions pass — and auto-rollback still
+// restores a retained version better than the bad head. With unbounded
+// retention every record stays, as before.
+func TestVersionGEBoundedByRetention(t *testing.T) {
+	const retain, promotions = 32, 4 * 32
+	for _, keep := range []int{retain, 0} {
+		vs := newVersionedStore()
+		vs.retain = keep
+		dir := t.TempDir()
+		m := testManager(t, vs, Config{
+			RepublishRows:    1 << 30,
+			ReservoirSize:    512,
+			GESlack:          1e12, // force-promote every candidate
+			AutoRollback:     true,
+			RollbackCooldown: time.Nanosecond,
+			CheckpointDir:    dir,
+			CheckpointEvery:  1,
+		})
+		st, err := m.Stream("m", 0.9, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pushN(t, st, 400, cleanRow)
+		for i := 0; i < promotions; i++ {
+			pushN(t, st, 4, cleanRow)
+			if res, err := m.Republish(context.Background(), "m"); err != nil || !res.Promoted {
+				t.Fatalf("promotion %d: %+v, %v", i, res, err)
+			}
+		}
+		st.mu.Lock()
+		recorded := len(st.versionGE)
+		for v := range st.versionGE {
+			if _, ok := vs.GetVersion("m", v); !ok {
+				t.Errorf("retain %d: GE record kept for evicted version %d", keep, v)
+			}
+		}
+		st.mu.Unlock()
+		doc, err := os.ReadFile(checkpointPath(dir, "m"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var cp streamCheckpoint
+		if err := json.Unmarshal(doc, &cp); err != nil {
+			t.Fatal(err)
+		}
+		if keep == 0 {
+			// Every promotion but the first (first_publish, no GE) is recorded.
+			if recorded != promotions-1 || len(cp.VersionGE) != recorded {
+				t.Fatalf("unbounded retention: %d records, %d checkpointed, want %d",
+					recorded, len(cp.VersionGE), promotions-1)
+			}
+			continue
+		}
+		if recorded > retain || len(cp.VersionGE) > retain {
+			t.Fatalf("%d GE records, %d checkpointed, after %d promotions: want at most %d",
+				recorded, len(cp.VersionGE), promotions, retain)
+		}
+
+		// A bad burst is force-promoted; its gate sample fires the stock
+		// regression rule, and the rollback must restore a retained clean
+		// version, never the bad one or an evicted one.
+		pushN(t, st, 100, antiRow)
+		res, err := m.Republish(context.Background(), "m")
+		if err != nil || !res.Promoted {
+			t.Fatalf("bad promotion: %+v, %v", res, err)
+		}
+		bad, badGE := res.Version, res.CandidateGE
+		restored, head, _ := vs.GetWithVersion("m")
+		if head != bad+1 {
+			t.Fatalf("head after rollback = %d, want %d", head, bad+1)
+		}
+		from := 0
+		vs.mu.Lock()
+		for v := bad - 1; v > bad-retain; v-- { // retained when the rollback ran
+			if vs.history["m"][v-1] == restored {
+				from = v
+			}
+		}
+		vs.mu.Unlock()
+		if from == 0 {
+			t.Fatalf("rollback did not restore a retained version older than the bad head %d", bad)
+		}
+		if ge := evalGEOK(t, m, "m").ServedGE; ge >= badGE {
+			t.Fatalf("restored version %d has GE %g, the bad head %g", from, ge, badGE)
+		}
+		st.mu.Lock()
+		recorded = len(st.versionGE)
+		st.mu.Unlock()
+		if recorded > retain {
+			t.Fatalf("%d GE records after rollback, want at most %d", recorded, retain)
+		}
 	}
 }

@@ -707,6 +707,9 @@ func (m *Manager) republish(ctx context.Context, name string) (RepublishResult, 
 		st.sinceCkpt = 0
 	}
 	st.mu.Unlock()
+	if res.Promoted {
+		m.pruneVersionGE(st)
+	}
 	if res.Promoted && measured {
 		m.annotateVersionGE(name, res.Version, res.CandidateGE)
 	}

@@ -4,9 +4,10 @@ package server
 // /v1/rules/{name}/batch/{fill,forecast,outliers} accepts either a
 // JSON array of row objects or NDJSON (one row object per line,
 // Content-Type application/x-ndjson) and answers NDJSON: one result
-// line per input row, in input order, flushed as it is produced. A row
-// that fails — malformed JSON, bad hole indices, wrong width — yields
-// an {"index": i, "error": {...}} line in its slot and the batch keeps
+// line per input row, in input order, flushed whenever the writer has
+// no further result ready (linepool.go). A row that fails — malformed
+// JSON, bad hole indices, wrong width — yields an
+// {"index": i, "error": {...}} line in its slot and the batch keeps
 // going; the HTTP status stays 200 because it is committed before the
 // first row is solved. Rows flow through core's bounded worker pool
 // (WithBatchWorkers) and the hole-pattern plan cache, so memory is
@@ -20,6 +21,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"mime"
 	"net/http"
 	"strconv"
@@ -67,38 +69,37 @@ func newBatchMetrics(reg *obs.Registry) *batchMetrics {
 
 // rowSource yields the next raw row of a batch body. more=false ends
 // the stream; a non-nil rowErr is a row-shaped failure (the slot is
-// preserved as an error line). Sources are not safe for concurrent use.
-type rowSource func() (raw json.RawMessage, rowErr error, more bool)
+// preserved as an error line). raw is only valid until the next call:
+// callers decode it first. Sources are not safe for concurrent use.
+type rowSource func() (raw []byte, rowErr error, more bool)
 
-// batchSource picks the body framing: NDJSON when the Content-Type
-// says so, JSON array otherwise.
-func batchSource(req *http.Request) rowSource {
+// batchSource picks the framing of body, the request's body or a
+// wrapper of it: NDJSON when the Content-Type says so, JSON array
+// otherwise.
+func batchSource(req *http.Request, body io.Reader) rowSource {
 	if mt, _, err := mime.ParseMediaType(req.Header.Get("Content-Type")); err == nil &&
 		strings.Contains(mt, "ndjson") {
-		return ndjsonRows(req.Body)
+		return ndjsonRows(body)
 	}
-	return arrayRows(req.Body)
+	return arrayRows(body)
 }
 
 // ndjsonRows frames the body as one JSON value per line. Blank lines
 // are skipped; an unreadable or oversized line ends the stream with a
 // final error row (there is no way to resync a broken byte stream).
-func ndjsonRows(body interface{ Read([]byte) (int, error) }) rowSource {
+// Each row aliases the scanner's buffer.
+func ndjsonRows(body io.Reader) rowSource {
 	sc := bufio.NewScanner(body)
 	sc.Buffer(make([]byte, 64<<10), maxBatchLineBytes)
 	done := false
-	return func() (json.RawMessage, error, bool) {
+	return func() ([]byte, error, bool) {
 		if done {
 			return nil, nil, false
 		}
 		for sc.Scan() {
-			line := bytes.TrimSpace(sc.Bytes())
-			if len(line) == 0 {
-				continue
+			if line := bytes.TrimSpace(sc.Bytes()); len(line) > 0 {
+				return line, nil, true
 			}
-			raw := make(json.RawMessage, len(line))
-			copy(raw, line)
-			return raw, nil, true
 		}
 		done = true
 		if err := sc.Err(); err != nil {
@@ -111,10 +112,10 @@ func ndjsonRows(body interface{ Read([]byte) (int, error) }) rowSource {
 // arrayRows frames the body as a single JSON array, decoded one
 // element at a time so the whole batch never sits in memory. Malformed
 // framing ends the stream with a final error row.
-func arrayRows(body interface{ Read([]byte) (int, error) }) rowSource {
+func arrayRows(body io.Reader) rowSource {
 	dec := json.NewDecoder(body)
 	started, done := false, false
-	return func() (json.RawMessage, error, bool) {
+	return func() ([]byte, error, bool) {
 		if done {
 			return nil, nil, false
 		}
@@ -152,13 +153,16 @@ type lineError struct {
 // serveBatch wires one batch request end to end: a feeder goroutine
 // decodes body rows into jobs, run drives them through core's ordered
 // worker pool, and the loop below streams one NDJSON line per result.
-// The request context cancels the pipeline if the client goes away.
+// parse runs on the feeder goroutine and must not retain raw. line
+// appends a result's success line to b, or reports its row error (a
+// result it cannot encode is one). The request context cancels the
+// pipeline if the client goes away.
 func serveBatch[J, R any](
 	s *service, w http.ResponseWriter, req *http.Request, op string,
 	opts core.BatchOptions,
-	parse func(raw json.RawMessage, rowErr error) J,
+	parse func(raw []byte, rowErr error) J,
 	run func(ctx context.Context, jobs <-chan J, opts core.BatchOptions) <-chan R,
-	line func(R) (index int, v any, rowErr error),
+	line func(b []byte, r R) (out []byte, index int, rowErr error),
 ) {
 	rc := http.NewResponseController(w)
 	// Without full duplex the HTTP/1 server drains the whole request
@@ -177,7 +181,7 @@ func serveBatch[J, R any](
 		_ = rc.SetWriteDeadline(t)
 	}
 	extend()
-	src := batchSource(req)
+	src := batchSource(req, req.Body)
 	ctx := req.Context()
 	gate := s.admission.RowGate(tenantFrom(req), true)
 	defer gate.Close()
@@ -216,23 +220,24 @@ func serveBatch[J, R any](
 	w.Header().Set("Content-Type", ndjsonContentType)
 	w.WriteHeader(http.StatusOK)
 	lw := newLineWriter(w)
-	defer lw.release()
+	defer lw.close()
 	rows := 0
-	for res := range results {
+	for {
+		res, ok := recvFlushing(lw, results)
+		if !ok {
+			break
+		}
 		if rows%256 == 0 && !shed.Load() {
 			extend()
 		}
-		idx, v, rowErr := line(res)
+		out, idx, rowErr := line(lw.buf(), res)
 		rows++
 		if rowErr == nil {
-			// An unencodable value (e.g. a NaN that leaked into a result)
-			// downgrades to a row error rather than corrupting the stream:
-			// emit writes nothing on encode failure.
-			if lw.emit(v) {
-				s.batch.rows.With(op, "ok").Inc()
-				continue
+			if !lw.put(out) {
+				return
 			}
-			rowErr = fmt.Errorf("encoding result for row %d failed", idx)
+			s.batch.rows.With(op, "ok").Inc()
+			continue
 		}
 		s.batch.rows.With(op, "error").Inc()
 		if !lw.emitErr(idx, rowErr) {
@@ -247,13 +252,24 @@ func serveBatch[J, R any](
 	s.batch.size.With(op).Observe(float64(rows))
 }
 
+// unencodable is the row error for a result line that could not be
+// encoded (a NaN or Inf that leaked into a result): the row downgrades
+// to an error line rather than corrupting the stream.
+func unencodable(ok bool, index int) error {
+	if ok {
+		return nil
+	}
+	return fmt.Errorf("encoding result for row %d failed", index)
+}
+
 // batchFillRow is one input row of POST batch/fill.
 type batchFillRow struct {
 	Record []float64 `json:"record"`
 	Holes  []int     `json:"holes"`
 }
 
-// batchFillLine is one success line of the batch/fill response.
+// batchFillLine is one success line of the batch/fill response: the
+// encoding/json shape its appending encoder (rowcodec.go) must match.
 type batchFillLine struct {
 	Index  int       `json:"index"`
 	Filled []float64 `json:"filled"`
@@ -264,23 +280,25 @@ func (s *service) batchFill(w http.ResponseWriter, req *http.Request) {
 	if !ok {
 		return
 	}
+	var dec rowDecoder
 	serveBatch(s, w, req, "fill", core.BatchOptions{Workers: s.batchWorkers},
-		func(raw json.RawMessage, rowErr error) core.FillJob {
+		func(raw []byte, rowErr error) core.FillJob {
 			if rowErr != nil {
 				return core.FillJob{Err: rowErr}
 			}
-			var row batchFillRow
-			if err := json.Unmarshal(raw, &row); err != nil {
-				return core.FillJob{Err: fmt.Errorf("%w: %v", errBadRow, err)}
+			row, err := dec.fillRow(raw)
+			if err != nil {
+				return core.FillJob{Err: err}
 			}
 			return core.FillJob{Record: row.Record, Holes: row.Holes}
 		},
 		rules.BatchFill,
-		func(r core.FillResult) (int, any, error) {
+		func(b []byte, r core.FillResult) ([]byte, int, error) {
 			if r.Err != nil {
-				return r.Index, nil, r.Err
+				return b, r.Index, r.Err
 			}
-			return r.Index, batchFillLine{Index: r.Index, Filled: r.Filled}, nil
+			b, ok := appendFillLine(b, r.Index, r.Filled)
+			return b, r.Index, unencodable(ok, r.Index)
 		})
 }
 
@@ -290,7 +308,8 @@ type batchForecastRow struct {
 	Target int             `json:"target"`
 }
 
-// batchForecastLine is one success line of the batch/forecast response.
+// batchForecastLine is one success line of the batch/forecast response: the
+// encoding/json shape its appending encoder (rowcodec.go) must match.
 type batchForecastLine struct {
 	Index int     `json:"index"`
 	Value float64 `json:"value"`
@@ -302,7 +321,7 @@ func (s *service) batchForecast(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	serveBatch(s, w, req, "forecast", core.BatchOptions{Workers: s.batchWorkers},
-		func(raw json.RawMessage, rowErr error) core.ForecastJob {
+		func(raw []byte, rowErr error) core.ForecastJob {
 			if rowErr != nil {
 				return core.ForecastJob{Err: rowErr}
 			}
@@ -313,11 +332,12 @@ func (s *service) batchForecast(w http.ResponseWriter, req *http.Request) {
 			return core.ForecastJob{Given: row.Given, Target: row.Target}
 		},
 		rules.BatchForecast,
-		func(r core.ForecastResult) (int, any, error) {
+		func(b []byte, r core.ForecastResult) ([]byte, int, error) {
 			if r.Err != nil {
-				return r.Index, nil, r.Err
+				return b, r.Index, r.Err
 			}
-			return r.Index, batchForecastLine{Index: r.Index, Value: r.Value}, nil
+			b, ok := appendForecastLine(b, r.Index, r.Value)
+			return b, r.Index, unencodable(ok, r.Index)
 		})
 }
 
@@ -327,7 +347,8 @@ type batchOutlierRow struct {
 	Record []float64 `json:"record"`
 }
 
-// batchOutliersLine is one success line of the batch/outliers response.
+// batchOutliersLine is one success line of the batch/outliers response: the
+// encoding/json shape its appending encoder (rowcodec.go) must match.
 type batchOutliersLine struct {
 	Index    int                `json:"index"`
 	Outliers []core.CellOutlier `json:"outliers"`
@@ -348,26 +369,24 @@ func (s *service) batchOutliers(w http.ResponseWriter, req *http.Request) {
 		}
 		opts.Sigma = sigma
 	}
+	var dec rowDecoder
 	serveBatch(s, w, req, "outliers", opts,
-		func(raw json.RawMessage, rowErr error) core.OutlierJob {
+		func(raw []byte, rowErr error) core.OutlierJob {
 			if rowErr != nil {
 				return core.OutlierJob{Err: rowErr}
 			}
-			var row batchOutlierRow
-			if err := json.Unmarshal(raw, &row); err != nil {
-				return core.OutlierJob{Err: fmt.Errorf("%w: %v", errBadRow, err)}
+			row, err := dec.outlierRow(raw)
+			if err != nil {
+				return core.OutlierJob{Err: err}
 			}
 			return core.OutlierJob{Record: row.Record}
 		},
 		rules.BatchOutliers,
-		func(r core.OutlierResult) (int, any, error) {
+		func(b []byte, r core.OutlierResult) ([]byte, int, error) {
 			if r.Err != nil {
-				return r.Index, nil, r.Err
+				return b, r.Index, r.Err
 			}
-			cells := r.Outliers
-			if cells == nil {
-				cells = []core.CellOutlier{}
-			}
-			return r.Index, batchOutliersLine{Index: r.Index, Outliers: cells}, nil
+			b, ok := appendOutliersLine(b, r.Index, r.Outliers)
+			return b, r.Index, unencodable(ok, r.Index)
 		})
 }

@@ -14,8 +14,6 @@ package server
 // the live accumulator and gate counters, DELETE drops it.
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -25,7 +23,8 @@ import (
 	"ratiorules/internal/online"
 )
 
-// ingestAck is the per-row success line of POST ingest.
+// ingestAck is the per-row success line of POST ingest: the
+// encoding/json shape appendAck (rowcodec.go) must match.
 type ingestAck struct {
 	Index int `json:"index"`
 	Count int `json:"count"` // stream row total after this row
@@ -58,29 +57,6 @@ func queryDecay(w http.ResponseWriter, req *http.Request) (decay float64, explic
 		return 0, false, false
 	}
 	return v, true, true
-}
-
-// decodeIngestRow parses one input line: a bare JSON array of numbers,
-// or an object with a "row" field.
-func decodeIngestRow(raw json.RawMessage) ([]float64, error) {
-	trimmed := bytes.TrimSpace(raw)
-	if len(trimmed) > 0 && trimmed[0] == '{' {
-		var obj struct {
-			Row []float64 `json:"row"`
-		}
-		if err := json.Unmarshal(trimmed, &obj); err != nil {
-			return nil, fmt.Errorf("%w: %v", errBadRow, err)
-		}
-		if obj.Row == nil {
-			return nil, fmt.Errorf("%w: missing \"row\"", errBadRow)
-		}
-		return obj.Row, nil
-	}
-	var row []float64
-	if err := json.Unmarshal(trimmed, &row); err != nil {
-		return nil, fmt.Errorf("%w: %v", errBadRow, err)
-	}
-	return row, nil
 }
 
 // ingest streams rows into a model's live accumulator. The first row
@@ -134,16 +110,22 @@ func (s *service) ingest(w http.ResponseWriter, req *http.Request) {
 	}
 	extend()
 
-	src := batchSource(req)
 	ctx := req.Context()
 	tn := tenantFrom(req)
-	gate := s.admission.RowGate(tn, false)
-	defer gate.Close()
 	w.Header().Set("Content-Type", ndjsonContentType)
 	w.WriteHeader(http.StatusOK)
 	lw := newLineWriter(w)
-	defer lw.release()
+	defer lw.close()
+	// This loop both reads rows and writes their acks, so the acks go
+	// out before each point where it may block: a body read, a row-gate
+	// sleep, a wait in the fold queue.
+	flush := func() { lw.flush() }
+	src := batchSource(req, flushBeforeRead{r: req.Body, flush: flush})
+	gate := s.admission.RowGate(tn, false)
+	gate.OnWait(flush)
+	defer gate.Close()
 
+	var dec rowDecoder
 	var done ingestDone
 	shed := false
 	for index := 0; ; index++ {
@@ -157,7 +139,7 @@ func (s *service) ingest(w http.ResponseWriter, req *http.Request) {
 		done.Rows++
 		var row []float64
 		if rowErr == nil {
-			row, rowErr = decodeIngestRow(raw)
+			row, rowErr = dec.ingestRow(raw)
 		}
 		if rowErr == nil {
 			// The row gate (tenant row bucket) and the fold slot (bounded
@@ -172,7 +154,7 @@ func (s *service) ingest(w http.ResponseWriter, req *http.Request) {
 				break
 			}
 			var releaseSlot func()
-			if releaseSlot, rowErr = s.admission.IngestSlot(ctx, tn, key); rowErr != nil {
+			if releaseSlot, rowErr = s.admission.IngestSlot(ctx, tn, key, flush); rowErr != nil {
 				done.Errors++
 				shed = true
 				lw.emitErr(index, rowErr)
@@ -184,7 +166,7 @@ func (s *service) ingest(w http.ResponseWriter, req *http.Request) {
 			if rowErr == nil {
 				done.Accepted++
 				done.Count = count
-				if !lw.emit(ingestAck{Index: index, Count: count}) {
+				if !lw.put(appendAck(lw.buf(), index, count)) {
 					return
 				}
 				continue
@@ -235,12 +217,15 @@ func (s *service) ingestClustered(w http.ResponseWriter, req *http.Request, name
 	}
 	extend()
 
-	src := batchSource(req)
+	// The request loop below never writes: before it blocks on a body
+	// read it dispatches its partial chunk, and the ack drainer flushes
+	// lines whenever it has no ack to hand.
+	src := batchSource(req, flushBeforeRead{r: req.Body, flush: func() { _ = sess.Flush() }})
 	ctx := req.Context()
 	w.Header().Set("Content-Type", ndjsonContentType)
 	w.WriteHeader(http.StatusOK)
 	lw := newLineWriter(w)
-	defer lw.release()
+	defer lw.close()
 
 	// The ack drainer is the only goroutine writing the response while
 	// the request loop below feeds the session; session emission order is
@@ -253,7 +238,11 @@ func (s *service) ingestClustered(w http.ResponseWriter, req *http.Request, name
 	go func() {
 		defer close(drained)
 		index := 0
-		for ev := range sess.Acks() {
+		for {
+			ev, ok := recvFlushing(lw, sess.Acks())
+			if !ok {
+				return
+			}
 			if ev.Err == nil {
 				base := ev.Count - int64(ev.Rows)
 				for j := 0; j < ev.Rows; j++ {
@@ -262,7 +251,7 @@ func (s *service) ingestClustered(w http.ResponseWriter, req *http.Request, name
 					}
 					accepted++
 					lastCount = base + int64(j) + 1
-					if !lw.emit(ingestAck{Index: index, Count: int(lastCount)}) {
+					if !lw.put(appendAck(lw.buf(), index, int(lastCount))) {
 						return
 					}
 					index++
@@ -281,6 +270,7 @@ func (s *service) ingestClustered(w http.ResponseWriter, req *http.Request, name
 
 	gate := s.admission.RowGate(tenantFrom(req), false)
 	defer gate.Close()
+	var dec rowDecoder
 	rows := 0
 	shed := false
 	for {
@@ -294,7 +284,7 @@ func (s *service) ingestClustered(w http.ResponseWriter, req *http.Request, name
 		rows++
 		var row []float64
 		if rowErr == nil {
-			row, rowErr = decodeIngestRow(raw)
+			row, rowErr = dec.ingestRow(raw)
 		}
 		if rowErr == nil {
 			if rowErr = gate.Take(ctx); rowErr != nil {

@@ -1,68 +1,114 @@
 package server
 
-// Pooled NDJSON line encoding shared by the streaming write paths
-// (batch inference and ingest acks). Those handlers emit one small JSON
-// line per input row; encoding each line with json.Marshal allocates a
-// fresh byte slice per row, which at millions of rows per request makes
-// the garbage collector a measurable cost on the response path. A
-// lineWriter instead rents a buffer + encoder pair from a process-wide
-// sync.Pool for the duration of the request and reuses it for every
-// line. json.Encoder appends the trailing '\n' itself, so the framing
-// is byte-identical to the old Marshal+append form.
+// Buffered NDJSON output shared by the streaming endpoints (batch
+// inference results and ingest acks). Lines are appended to a byte
+// slice rented from a process-wide pool for the request and handed to
+// the ResponseWriter in blocks of about lineBlockBytes. Buffered lines
+// reach the client — one Flush — only before the handler may block:
+// before it reads more of the request body, before an admission wait,
+// and when a writer goroutine finds its result channel empty. A client
+// that waits for each line before sending its next row therefore gets
+// the line at once, and a client that pipelines rows gets its lines in
+// a few large writes instead of one write(2) per line.
 
 import (
-	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"sync"
 )
 
-// lineBuf is one pooled encode buffer; enc writes into buf.
-type lineBuf struct {
-	buf bytes.Buffer
-	enc *json.Encoder
-}
+// lineBlockBytes is the pending-output size at which lines are written
+// through to the ResponseWriter without waiting for a flush point.
+const lineBlockBytes = 4 << 10
+
+// maxPooledLineBytes bounds what a returned buffer may retain: blocks
+// are written out at lineBlockBytes, so only a rare megabyte-class
+// outlier line grows a buffer past 64 KiB, and that one is left to the
+// garbage collector rather than pinned in the pool.
+const maxPooledLineBytes = 64 << 10
+
+// lineBuf is one pooled output buffer.
+type lineBuf struct{ b []byte }
 
 var linePool = sync.Pool{
-	New: func() any {
-		lb := &lineBuf{}
-		lb.enc = json.NewEncoder(&lb.buf)
-		return lb
-	},
+	New: func() any { return &lineBuf{b: make([]byte, 0, 2*lineBlockBytes)} },
 }
 
-// lineWriter emits NDJSON lines to one response, flushing after each so
-// clients see acks while still sending. Not safe for concurrent use —
-// each request path has exactly one emitting goroutine.
+// lineWriter buffers NDJSON lines for one response. Not safe for
+// concurrent use — each request path has exactly one emitting
+// goroutine.
 type lineWriter struct {
 	w       http.ResponseWriter
 	flusher http.Flusher
 	lb      *lineBuf
+	written bool // bytes handed to w since the last Flush
+	failed  bool // a write failed: the client is gone
 }
 
 // newLineWriter rents a pooled buffer for the request. Callers must
-// release() when the response is done.
+// close() when the response is done.
 func newLineWriter(w http.ResponseWriter) *lineWriter {
 	flusher, _ := w.(http.Flusher)
 	return &lineWriter{w: w, flusher: flusher, lb: linePool.Get().(*lineBuf)}
 }
 
-// emit encodes v as one NDJSON line and flushes it. It reports false
-// when the value cannot be encoded or the client is gone; callers stop
-// streaming on false. Nothing is written on an encode failure, so the
-// line framing can never be corrupted mid-stream.
-func (lw *lineWriter) emit(v any) bool {
-	lw.lb.buf.Reset()
-	if err := lw.lb.enc.Encode(v); err != nil {
+// buf returns the pending output for an appending encoder to extend;
+// the extended slice goes back through put. An encoder that fails
+// midway simply does not call put, so no partial line is ever written.
+func (lw *lineWriter) buf() []byte { return lw.lb.b }
+
+// put adopts b — the pending output plus the lines just appended to it
+// — writing it through once it reaches lineBlockBytes. It reports false
+// once the client is gone; callers stop streaming on false.
+func (lw *lineWriter) put(b []byte) bool {
+	lw.lb.b = b
+	if len(b) >= lineBlockBytes {
+		return lw.write()
+	}
+	return !lw.failed
+}
+
+// write hands the pending output to the ResponseWriter.
+func (lw *lineWriter) write() bool {
+	if lw.failed {
 		return false
 	}
-	if _, err := lw.w.Write(lw.lb.buf.Bytes()); err != nil {
+	if len(lw.lb.b) == 0 {
+		return true
+	}
+	if _, err := lw.w.Write(lw.lb.b); err != nil {
+		lw.failed = true
 		return false
 	}
-	if lw.flusher != nil {
+	lw.lb.b = lw.lb.b[:0]
+	lw.written = true
+	return true
+}
+
+// flush sends every line produced so far to the client. Call it before
+// anything that may block.
+func (lw *lineWriter) flush() bool {
+	if !lw.write() {
+		return false
+	}
+	if lw.written && lw.flusher != nil {
 		lw.flusher.Flush()
 	}
+	lw.written = false
 	return true
+}
+
+// emit encodes v with encoding/json as one NDJSON line, for the rare
+// lines (errors, summaries) without an appending encoder. It reports
+// false when v cannot be encoded — nothing is written then, so the line
+// framing is never corrupted — or the client is gone.
+func (lw *lineWriter) emit(v any) bool {
+	data, err := json.Marshal(v)
+	if err != nil {
+		return false
+	}
+	return lw.put(append(append(lw.lb.b, data...), '\n'))
 }
 
 // emitErr encodes a row-error line for index with the envelope code
@@ -72,21 +118,44 @@ func (lw *lineWriter) emitErr(index int, err error) bool {
 	return lw.emit(lineError{Index: index, Error: errorInfo{Code: code, Message: err.Error()}})
 }
 
-// release returns the encode buffer to the pool. The buffer is reset on
-// next rent; oversized buffers (a huge batch result line) are dropped
-// rather than pooled so one outlier row does not pin memory.
-func (lw *lineWriter) release() {
+// close writes out what is still pending (the server flushes it when
+// the handler returns) and returns the buffer to the pool, unless an
+// outlier line grew it past maxPooledLineBytes.
+func (lw *lineWriter) close() {
 	if lw.lb == nil {
 		return
 	}
-	if lw.lb.buf.Cap() <= maxPooledLineBytes {
+	lw.write()
+	if cap(lw.lb.b) <= maxPooledLineBytes {
+		lw.lb.b = lw.lb.b[:0]
 		linePool.Put(lw.lb)
 	}
 	lw.lb = nil
 }
 
-// maxPooledLineBytes bounds what a returned buffer may retain: lines
-// are typically well under 1 KiB, so 64 KiB keeps every normal workload
-// allocation-free while letting rare megabyte-class outlier lines be
-// garbage collected.
-const maxPooledLineBytes = 64 << 10
+// recvFlushing receives the next value for a writer goroutine, flushing
+// the buffered lines first when none is ready: the writer is about to
+// block, so the client must already hold every line produced so far.
+func recvFlushing[T any](lw *lineWriter, ch <-chan T) (T, bool) {
+	select {
+	case v, ok := <-ch:
+		return v, ok
+	default:
+	}
+	lw.flush()
+	v, ok := <-ch
+	return v, ok
+}
+
+// flushBeforeRead runs flush before every read of the request body: a
+// handler that reads rows on the goroutine that writes their lines may
+// block there waiting for a client that is itself waiting for a line.
+type flushBeforeRead struct {
+	r     io.Reader
+	flush func()
+}
+
+func (f flushBeforeRead) Read(p []byte) (int, error) {
+	f.flush()
+	return f.r.Read(p)
+}
