@@ -27,7 +27,6 @@ import (
 	"strconv"
 	"strings"
 	"sync/atomic"
-	"time"
 
 	"ratiorules/internal/core"
 	"ratiorules/internal/obs"
@@ -41,10 +40,6 @@ const ndjsonContentType = "application/x-ndjson"
 // whole is uncapped (it streams), but a single row has no business
 // being this large.
 const maxBatchLineBytes = 4 << 20
-
-// batchDeadlineSlack is how far the connection deadlines are pushed
-// ahead of a progressing batch (see serveBatch).
-const batchDeadlineSlack = 5 * time.Minute
 
 // errBadRow marks batch rows that failed framing or decoding; errStatus
 // maps it to bad_request so the per-row error line carries that code.
@@ -164,23 +159,8 @@ func serveBatch[J, R any](
 	run func(ctx context.Context, jobs <-chan J, opts core.BatchOptions) <-chan R,
 	line func(b []byte, r R) (out []byte, index int, rowErr error),
 ) {
-	rc := http.NewResponseController(w)
-	// Without full duplex the HTTP/1 server drains the whole request
-	// body before the first response write, which would defeat
-	// streaming (and deadlock a client that waits for early results
-	// before sending more rows). Unsupported writers just stay
-	// half-duplex.
-	_ = rc.EnableFullDuplex()
-	// The server's global read/write timeouts cover the whole request,
-	// which would sever any batch longer than them. Roll a generous
-	// deadline forward as long as the batch makes progress; a fully
-	// stalled connection still dies within the slack.
-	extend := func() {
-		t := time.Now().Add(batchDeadlineSlack)
-		_ = rc.SetReadDeadline(t)
-		_ = rc.SetWriteDeadline(t)
-	}
-	extend()
+	lw := startNDJSON(w)
+	defer lw.close()
 	src := batchSource(req, req.Body)
 	ctx := req.Context()
 	gate := s.admission.RowGate(tenantFrom(req), true)
@@ -217,18 +197,14 @@ func serveBatch[J, R any](
 		}
 	}()
 	results := run(ctx, jobs, opts)
-	w.Header().Set("Content-Type", ndjsonContentType)
-	w.WriteHeader(http.StatusOK)
-	lw := newLineWriter(w)
-	defer lw.close()
 	rows := 0
 	for {
 		res, ok := recvFlushing(lw, results)
 		if !ok {
 			break
 		}
-		if rows%256 == 0 && !shed.Load() {
-			extend()
+		if !shed.Load() {
+			lw.roll(rows)
 		}
 		out, idx, rowErr := line(lw.buf(), res)
 		rows++
@@ -245,9 +221,7 @@ func serveBatch[J, R any](
 		}
 	}
 	if shed.Load() {
-		t := time.Now().Add(shedDrainSlack)
-		_ = rc.SetReadDeadline(t)
-		_ = rc.SetWriteDeadline(t)
+		lw.cutOff()
 	}
 	s.batch.size.With(op).Observe(float64(rows))
 }

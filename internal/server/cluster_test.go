@@ -8,9 +8,11 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -25,18 +27,21 @@ import (
 // clusterTestServer is a coordinator-mode API server over n in-process
 // worker nodes.
 type clusterTestServer struct {
-	ts    *httptest.Server
-	coord *cluster.Coordinator
-	mgr   *online.Manager
+	ts      *httptest.Server
+	coord   *cluster.Coordinator
+	mgr     *online.Manager
+	metrics *obs.Registry // the coordinator's rr_cluster_* series
 }
 
-func newClusterTestServer(t *testing.T, n int) *clusterTestServer {
+// newClusterTestServer starts the coordinator's API server with opts
+// added to its handler options.
+func newClusterTestServer(t *testing.T, n int, opts ...HandlerOption) *clusterTestServer {
 	t.Helper()
 	urls := make([]string, n)
 	for i := 0; i < n; i++ {
 		w := cluster.NewWorker()
 		ws := httptest.NewServer(w.Handler())
-		t.Cleanup(ws.Close)
+		t.Cleanup(func() { closeWithin(t, ws) })
 		urls[i] = ws.URL
 	}
 	reg := NewRegistry()
@@ -49,11 +54,12 @@ func newClusterTestServer(t *testing.T, n int) *clusterTestServer {
 	if err != nil {
 		t.Fatal(err)
 	}
+	metrics := obs.NewRegistry()
 	coord, err := cluster.New(cluster.Config{
 		Workers:   urls,
 		Manager:   mgr,
 		ChunkRows: 16,
-		Metrics:   obs.NewRegistry(),
+		Metrics:   metrics,
 		// Background loops parked: tests drive merges synchronously.
 		PullEvery:     time.Hour,
 		HealthEvery:   time.Hour,
@@ -64,10 +70,27 @@ func newClusterTestServer(t *testing.T, n int) *clusterTestServer {
 	}
 	coord.Start()
 	t.Cleanup(func() { _ = coord.Close(context.Background()) })
-	ts := httptest.NewServer(Handler(reg,
-		WithObs(obs.NewRegistry()), WithOnline(mgr), WithCluster(coord)))
-	t.Cleanup(ts.Close)
-	return &clusterTestServer{ts: ts, coord: coord, mgr: mgr}
+	opts = append([]HandlerOption{WithObs(obs.NewRegistry()), WithOnline(mgr), WithCluster(coord)}, opts...)
+	ts := httptest.NewServer(Handler(reg, opts...))
+	t.Cleanup(func() { closeWithin(t, ts) })
+	return &clusterTestServer{ts: ts, coord: coord, mgr: mgr, metrics: metrics}
+}
+
+// closeWithin closes srv, failing t rather than hanging the package
+// when a handler never returns: httptest's Close waits for every
+// active connection.
+func closeWithin(t *testing.T, srv *httptest.Server) {
+	t.Helper()
+	closed := make(chan struct{})
+	go func() {
+		srv.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Errorf("closing %s: a handler never returned", srv.URL)
+	}
 }
 
 // clusterIngestLine is the union shape of one clustered ingest response line.
@@ -167,6 +190,46 @@ func TestClusterIngestContract(t *testing.T) {
 	if code := decodeEnvelope(t, "decay conflict", resp2.Body); code != CodeConflict {
 		t.Fatalf("decay conflict code = %q", code)
 	}
+}
+
+// TestClusterIngestClientDisconnect is the fan-out leak regression: a
+// client that pipelines rows, never reads an ack and then resets its
+// connection must still end its session. The handler keeps draining
+// (and discarding) the session's acks until they close, so the session
+// gauge returns to 0 and the server can shut down.
+func TestClusterIngestClientDisconnect(t *testing.T) {
+	cs := newClusterTestServer(t, 2)
+	sessions := func() float64 { return cs.metrics.Snapshot()["rr_cluster_sessions"] }
+	rowsOK := func() float64 { return cs.metrics.Snapshot()[`rr_cluster_rows_total{result="ok"}`] }
+
+	var body bytes.Buffer
+	for i := 0; i < 200_000; i++ {
+		fmt.Fprintf(&body, "[%d,%d]\n", i, 2*i)
+	}
+	conn, err := net.Dial("tcp", cs.ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tcp := conn.(*net.TCPConn)
+	// A small receive window makes the server's ack writes block early.
+	_ = tcp.SetReadBuffer(4 << 10)
+	go func() {
+		fmt.Fprintf(tcp, "POST /v1/rules/gone/ingest HTTP/1.1\r\nHost: contract-test\r\n"+
+			"Content-Type: %s\r\nContent-Length: %d\r\n\r\n", ndjsonContentType, body.Len())
+		_, _ = tcp.Write(body.Bytes())
+	}()
+	// Reset once the fan-out has stalled behind the unread acks (no row
+	// is acked for a while), so the session has acks queued at the reset.
+	waitUntil(t, "fan-out stalled", func() bool {
+		before := rowsOK()
+		time.Sleep(50 * time.Millisecond)
+		return before > 0 && rowsOK() == before
+	})
+	_ = tcp.SetLinger(0) // close with a reset, not a graceful FIN
+	tcp.Close()
+
+	waitUntil(t, "fan-out session closed", func() bool { return sessions() == 0 })
+	closeWithin(t, cs.ts)
 }
 
 func TestClusterStatusJoinAndReadyz(t *testing.T) {

@@ -42,20 +42,27 @@ const contractTenants = `{
   ]
 }`
 
-// admissionServer builds a full server (online manager included, so
-// the streaming routes work) behind an admission controller loaded
-// from contractTenants.
-func admissionServer(t *testing.T) *httptest.Server {
+// contractAdmission builds an admission controller loaded from
+// contractTenants, registering its series in metrics.
+func contractAdmission(t *testing.T, metrics *obs.Registry) *admission.Controller {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "tenants.json")
 	if err := os.WriteFile(path, []byte(contractTenants), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	metrics := obs.NewRegistry()
 	ctrl, err := admission.New(admission.Config{TenantsFile: path, Metrics: metrics})
 	if err != nil {
 		t.Fatalf("admission.New: %v", err)
 	}
+	return ctrl
+}
+
+// admissionServer builds a full server (online manager included, so
+// the streaming routes work) behind contractAdmission.
+func admissionServer(t *testing.T) *httptest.Server {
+	t.Helper()
+	metrics := obs.NewRegistry()
+	ctrl := contractAdmission(t, metrics)
 	reg := NewRegistry()
 	mgr, err := online.NewManager(reg, online.Config{RepublishRows: 1 << 30, Metrics: metrics})
 	if err != nil {
@@ -274,46 +281,59 @@ func TestV1ContractAdmissionIsolation(t *testing.T) {
 }
 
 // TestV1ContractAdmissionIngestShed pins the mid-stream shed contract
-// (and the held-connection regression): once the row bucket drains the
-// stream gets one rate_limited error line in the offending row's slot,
-// the done summary, and nothing else — the server does not keep
-// reading and refusing rows one by one.
+// (and the held-connection regression), on a single node and on a
+// coordinator: once the row bucket drains the stream gets one
+// rate_limited error line in the offending row's slot, the done
+// summary, and nothing else — the server does not keep reading and
+// refusing rows one by one.
 func TestV1ContractAdmissionIngestShed(t *testing.T) {
-	ts := admissionServer(t)
-	body := strings.Repeat("[1, 2]\n", 6)
-	req, err := http.NewRequest("POST", ts.URL+"/v1/rules/live/ingest", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name string
+		url  func(t *testing.T) string
+	}{
+		{"single_node", func(t *testing.T) string { return admissionServer(t).URL }},
+		{"clustered", func(t *testing.T) string {
+			return newClusterTestServer(t, 2, WithAdmission(contractAdmission(t, obs.NewRegistry()))).ts.URL
+		}},
 	}
-	req.Header.Set("Authorization", "Bearer tok-limited")
-	req.Header.Set("Content-Type", ndjsonContentType)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("ingest status %d, want 200 (shed is per-row)", resp.StatusCode)
-	}
-	lines, done := readIngestLines(t, resp)
-	// row_burst 2: rows 0 and 1 ack, row 2 sheds, rows 3..5 never
-	// answered.
-	if len(lines) != 3 {
-		t.Fatalf("got %d row lines, want 3 (2 acks + 1 shed): %+v", len(lines), lines)
-	}
-	for i := 0; i < 2; i++ {
-		if lines[i].Error != nil || lines[i].Count != i+1 {
-			t.Errorf("line %d: want ack with count %d, got %+v", i, i+1, lines[i])
-		}
-	}
-	shedLine := lines[2]
-	if shedLine.Error == nil || shedLine.Error.Code != CodeRateLimited {
-		t.Fatalf("line 2: want rate_limited error, got %+v", shedLine)
-	}
-	if shedLine.Index != 2 {
-		t.Errorf("shed line index %d, want 2", shedLine.Index)
-	}
-	if done.Done.Rows != 3 || done.Done.Accepted != 2 || done.Done.Errors != 1 {
-		t.Fatalf("done summary = %+v, want rows 3 accepted 2 errors 1", *done.Done)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			body := strings.Repeat("[1, 2]\n", 6)
+			req, err := http.NewRequest("POST", c.url(t)+"/v1/rules/live/ingest", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			req.Header.Set("Authorization", "Bearer tok-limited")
+			req.Header.Set("Content-Type", ndjsonContentType)
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("ingest status %d, want 200 (shed is per-row)", resp.StatusCode)
+			}
+			lines, done := readIngestLines(t, resp)
+			// row_burst 2: rows 0 and 1 ack, row 2 sheds, rows 3..5 never
+			// answered.
+			if len(lines) != 3 {
+				t.Fatalf("got %d row lines, want 3 (2 acks + 1 shed): %+v", len(lines), lines)
+			}
+			for i := 0; i < 2; i++ {
+				if lines[i].Error != nil || lines[i].Count != i+1 {
+					t.Errorf("line %d: want ack with count %d, got %+v", i, i+1, lines[i])
+				}
+			}
+			shedLine := lines[2]
+			if shedLine.Error == nil || shedLine.Error.Code != CodeRateLimited {
+				t.Fatalf("line 2: want rate_limited error, got %+v", shedLine)
+			}
+			if shedLine.Index != 2 {
+				t.Errorf("shed line index %d, want 2", shedLine.Index)
+			}
+			if done.Done.Rows != 3 || done.Done.Accepted != 2 || done.Done.Errors != 1 {
+				t.Fatalf("done summary = %+v, want rows 3 accepted 2 errors 1", *done.Done)
+			}
+		})
 	}
 }
 

@@ -1,25 +1,30 @@
 package server
 
 // Live ingest endpoints over internal/online. POST
-// /v1/rules/{name}/ingest follows the batch streaming conventions
-// (batch.go): NDJSON or a JSON array in, one NDJSON line out per row,
-// full-duplex with rolling deadlines, status 200 committed before the
-// first row. Each input line is a row — either a bare array
-// ([1.5, 3.0]) or {"row": [...]} — answered by an ack line
-// {"index": i, "count": n} or an error line in its slot; the stream
-// ends with a {"done": {...}} summary. Unlike batch inference, rows are
-// folded into the stream sequentially (order is state here, not just
-// output framing). Re-mining and GE-gated promotion run behind the
-// scenes per the manager's triggers; GET /v1/rules/{name}/stream shows
-// the live accumulator and gate counters, DELETE drops it.
+// /v1/rules/{name}/ingest follows the streaming conventions shared
+// with batch inference (linepool.go): NDJSON or a JSON array in, one
+// NDJSON line out per row, full-duplex with rolling deadlines, status
+// 200 committed before the first row. Each input line is a row —
+// either a bare array ([1.5, 3.0]) or {"row": [...]} — answered by an
+// ack line {"index": i, "count": n} or an error line in its slot; the
+// stream ends with a {"done": {...}} summary. Unlike batch inference,
+// rows are folded into the stream sequentially (order is state here,
+// not just output framing). Re-mining and GE-gated promotion run
+// behind the scenes per the manager's triggers; GET
+// /v1/rules/{name}/stream shows the live accumulator and gate
+// counters, DELETE drops it.
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"strconv"
-	"time"
+	"sync/atomic"
 
+	"ratiorules/internal/admission"
+	"ratiorules/internal/cluster"
 	"ratiorules/internal/online"
 )
 
@@ -59,18 +64,42 @@ func queryDecay(w http.ResponseWriter, req *http.Request) (decay float64, explic
 	return v, true, true
 }
 
-// ingest streams rows into a model's live accumulator. The first row
-// of a new stream fixes its width; a ?decay=D on stream creation sets
-// its exponential decay, and later requests naming a different decay
-// answer 409 conflict (omit the parameter to join whatever runs).
-// shedDrainSlack replaces the rolling deadline once a stream has shed:
-// just enough for the done line to flush and the connection to wind
-// down. Without this, a rate-limited client could keep trickling rows
-// and have each 256-row extend() push the deadline 5 minutes out —
-// holding a connection (and its quota slot) open indefinitely while
-// every row is refused.
-const shedDrainSlack = 5 * time.Second
+// rowSink is where the ingest handler sends a request's decoded rows:
+// an online.Stream on a single node, a fan-out session on a
+// coordinator. The sink answers each row in its input slot (ack or
+// error line); the handler owns everything else.
+type rowSink interface {
+	start(lw *lineWriter) // the response is committed
+	// push folds the index-th row. A non-nil error is an admission
+	// refusal, which the handler answers (fail) and then ends the stream.
+	push(ctx context.Context, index int, row []float64) error
+	fail(index int, err error)
+	flush()     // before the handler may block
+	live() bool // false once the client is gone or the sink has failed
+	end() ingestDone
+}
 
+// openSink opens the destination of one ingest request's rows.
+func (s *service) openSink(req *http.Request, key string, decay float64, explicit bool) (rowSink, error) {
+	if s.cluster != nil {
+		sess, err := s.cluster.Ingest(req.Context(), key, decay, explicit)
+		if err != nil {
+			return nil, err
+		}
+		return &clusterSink{sess: sess, logger: s.logger, key: key}, nil
+	}
+	st, err := s.online.Stream(key, decay, explicit)
+	if err != nil {
+		return nil, err
+	}
+	return &localSink{adm: s.admission, st: st, tn: tenantFrom(req), key: key}, nil
+}
+
+// ingest streams rows into a model's live accumulator, through the
+// same loop on a single node and on a coordinator. The first row of a
+// new stream fixes its width; a ?decay=D on stream creation sets its
+// exponential decay, and later requests naming a different decay
+// answer 409 conflict (omit the parameter to join whatever runs).
 func (s *service) ingest(w http.ResponseWriter, req *http.Request) {
 	name, key, ok := s.modelRef(w, req)
 	if !ok {
@@ -84,11 +113,7 @@ func (s *service) ingest(w http.ResponseWriter, req *http.Request) {
 	if !ok {
 		return
 	}
-	if s.cluster != nil {
-		s.ingestClustered(w, req, key, decay, explicit)
-		return
-	}
-	st, err := s.online.Stream(key, decay, explicit)
+	sink, err := s.openSink(req, key, decay, explicit)
 	if err != nil {
 		if errors.Is(err, online.ErrDecayConflict) {
 			writeErr(w, http.StatusConflict, CodeConflict, err)
@@ -98,91 +123,53 @@ func (s *service) ingest(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 
-	// Same connection discipline as serveBatch: full duplex so acks
-	// flow while the client is still sending, deadlines rolled forward
-	// while the stream makes progress.
-	rc := http.NewResponseController(w)
-	_ = rc.EnableFullDuplex()
-	extend := func() {
-		t := time.Now().Add(batchDeadlineSlack)
-		_ = rc.SetReadDeadline(t)
-		_ = rc.SetWriteDeadline(t)
-	}
-	extend()
-
-	ctx := req.Context()
-	tn := tenantFrom(req)
-	w.Header().Set("Content-Type", ndjsonContentType)
-	w.WriteHeader(http.StatusOK)
-	lw := newLineWriter(w)
+	lw := startNDJSON(w)
 	defer lw.close()
-	// This loop both reads rows and writes their acks, so the acks go
-	// out before each point where it may block: a body read, a row-gate
-	// sleep, a wait in the fold queue.
-	flush := func() { lw.flush() }
-	src := batchSource(req, flushBeforeRead{r: req.Body, flush: flush})
-	gate := s.admission.RowGate(tn, false)
-	gate.OnWait(flush)
+	sink.start(lw)
+	// This loop reads every row, so the sink flushes before each point
+	// where it may block: a body read, a row-gate sleep.
+	src := batchSource(req, flushBeforeRead{r: req.Body, flush: sink.flush})
+	gate := s.admission.RowGate(tenantFrom(req), false)
+	gate.OnWait(sink.flush)
 	defer gate.Close()
 
+	ctx := req.Context()
 	var dec rowDecoder
-	var done ingestDone
-	shed := false
-	for index := 0; ; index++ {
+	rows, shed := 0, false
+	for sink.live() {
 		raw, rowErr, more := src()
 		if !more || ctx.Err() != nil {
 			break
 		}
-		if index%256 == 0 {
-			extend()
-		}
-		done.Rows++
+		index := rows
+		rows++
+		lw.roll(index)
 		var row []float64
 		if rowErr == nil {
 			row, rowErr = dec.ingestRow(raw)
 		}
-		if rowErr == nil {
-			// The row gate (tenant row bucket) and the fold slot (bounded
-			// per-model admission queue) both shed by terminating the
-			// stream: the client gets one error line naming the limit and
-			// the Retry-After, then the done summary — continuing to read
-			// and refuse rows one by one would just burn both sides' CPU.
-			if rowErr = gate.Take(ctx); rowErr != nil {
-				done.Errors++
-				shed = true
-				lw.emitErr(index, rowErr)
-				break
-			}
-			var releaseSlot func()
-			if releaseSlot, rowErr = s.admission.IngestSlot(ctx, tn, key, flush); rowErr != nil {
-				done.Errors++
-				shed = true
-				lw.emitErr(index, rowErr)
-				break
-			}
-			var count int
-			count, rowErr = st.Push(ctx, row)
-			releaseSlot()
-			if rowErr == nil {
-				done.Accepted++
-				done.Count = count
-				if !lw.put(appendAck(lw.buf(), index, count)) {
-					return
-				}
-				continue
-			}
+		if rowErr != nil {
+			sink.fail(index, rowErr)
+			continue
 		}
-		done.Errors++
-		if !lw.emitErr(index, rowErr) {
-			return
+		// The row gate (tenant row bucket) and the sink's admission both
+		// shed by terminating the stream: the client gets one error line
+		// naming the limit and the Retry-After, then the done summary —
+		// continuing to read and refuse rows one by one would just burn
+		// both sides' CPU.
+		if rowErr = gate.Take(ctx); rowErr == nil {
+			rowErr = sink.push(ctx, index, row)
+		}
+		if rowErr != nil {
+			sink.fail(index, rowErr)
+			shed = true
+			break
 		}
 	}
+	done := sink.end()
+	done.Rows = rows
 	if shed {
-		// Stop rolling the generous deadline forward: give the done line
-		// a short window to flush, then let the connection die.
-		t := time.Now().Add(shedDrainSlack)
-		_ = rc.SetReadDeadline(t)
-		_ = rc.SetWriteDeadline(t)
+		lw.cutOff()
 	}
 	s.logger.Info("rows ingested",
 		"model", key, "rows", done.Rows, "accepted", done.Accepted,
@@ -190,139 +177,123 @@ func (s *service) ingest(w http.ResponseWriter, req *http.Request) {
 	lw.emit(ingestDoneLine{Done: done})
 }
 
-// ingestClustered serves POST ingest when the server fronts a sharded
-// cluster: rows go into a fan-out session that hash-shards them across
-// worker nodes, and the per-row NDJSON response is reassembled from the
-// session's in-order chunk acks. The response contract is identical to
-// the single-node path — acks and error lines in input order, one per
-// row, then the done summary — so clients cannot tell how many machines
-// are behind the endpoint.
-func (s *service) ingestClustered(w http.ResponseWriter, req *http.Request, name string, decay float64, explicit bool) {
-	sess, err := s.cluster.Ingest(req.Context(), name, decay, explicit)
+// localSink folds rows into an online.Stream on the handler goroutine:
+// per row one fold slot (the bounded per-model admission queue), one
+// push and one appended ack.
+type localSink struct {
+	adm  *admission.Controller
+	st   *online.Stream
+	tn   *admission.Tenant
+	key  string
+	lw   *lineWriter
+	done ingestDone
+}
+
+func (k *localSink) start(lw *lineWriter) { k.lw = lw }
+
+func (k *localSink) push(ctx context.Context, index int, row []float64) error {
+	release, err := k.adm.IngestSlot(ctx, k.tn, k.key, k.lw.flush)
 	if err != nil {
-		if errors.Is(err, online.ErrDecayConflict) {
-			writeErr(w, http.StatusConflict, CodeConflict, err)
+		return err
+	}
+	count, err := k.st.Push(ctx, row)
+	release()
+	if err != nil {
+		k.fail(index, err)
+		return nil
+	}
+	k.done.Accepted++
+	k.done.Count = count
+	k.lw.put(appendAck(k.lw.buf(), index, count))
+	return nil
+}
+
+func (k *localSink) fail(index int, err error) {
+	k.done.Errors++
+	k.lw.emitErr(index, err)
+}
+
+func (k *localSink) flush()          { k.lw.flush() }
+func (k *localSink) live() bool      { return !k.lw.failed }
+func (k *localSink) end() ingestDone { return k.done }
+
+// clusterSink feeds rows into a fan-out session that hash-shards them
+// across the worker nodes. The session reports chunk outcomes in input
+// order on Acks, and one drainer goroutine — the only writer of the
+// response while the handler feeds the session — turns them back into
+// the per-row lines the single-node path would write. It takes no fold
+// slot: the session bounds its unacked chunks itself.
+type clusterSink struct {
+	sess    *cluster.Session
+	logger  *slog.Logger
+	key     string
+	lw      *lineWriter
+	done    ingestDone // the drainer's; read after drained closes
+	drained chan struct{}
+	gone    atomic.Bool // the drainer lost the client
+	fatal   bool        // no healthy workers remain
+}
+
+func (c *clusterSink) start(lw *lineWriter) {
+	c.lw = lw
+	c.drained = make(chan struct{})
+	go c.drain()
+}
+
+// drain writes each ack event's lines. A chunk ack covers a run of
+// rows: the run's final count minus its length recovers each row's
+// running total. Once the client is gone it keeps receiving — and
+// discarding — events until Acks closes: a session whose Acks nobody
+// reads stalls its workers and never closes.
+func (c *clusterSink) drain() {
+	defer close(c.drained)
+	index := 0
+	for {
+		ev, ok := recvFlushing(c.lw, c.sess.Acks())
+		if !ok {
 			return
 		}
-		writeErr(w, http.StatusBadRequest, CodeBadRequest, err)
-		return
-	}
-
-	rc := http.NewResponseController(w)
-	_ = rc.EnableFullDuplex()
-	extend := func() {
-		t := time.Now().Add(batchDeadlineSlack)
-		_ = rc.SetReadDeadline(t)
-		_ = rc.SetWriteDeadline(t)
-	}
-	extend()
-
-	// The request loop below never writes: before it blocks on a body
-	// read it dispatches its partial chunk, and the ack drainer flushes
-	// lines whenever it has no ack to hand.
-	src := batchSource(req, flushBeforeRead{r: req.Body, flush: func() { _ = sess.Flush() }})
-	ctx := req.Context()
-	w.Header().Set("Content-Type", ndjsonContentType)
-	w.WriteHeader(http.StatusOK)
-	lw := newLineWriter(w)
-	defer lw.close()
-
-	// The ack drainer is the only goroutine writing the response while
-	// the request loop below feeds the session; session emission order is
-	// input order, so per-row lines come out exactly as the single-node
-	// path would produce them. Chunk acks cover a run of rows: the run's
-	// final count minus its length recovers each row's running total.
-	var accepted, errs int
-	var lastCount int64
-	drained := make(chan struct{})
-	go func() {
-		defer close(drained)
-		index := 0
-		for {
-			ev, ok := recvFlushing(lw, sess.Acks())
-			if !ok {
-				return
-			}
+		first := index
+		index += ev.Rows
+		if ev.Err != nil {
+			c.done.Errors += ev.Rows
+		} else {
+			c.done.Accepted += ev.Rows
+			c.done.Count = int(ev.Count)
+		}
+		for i := first; i < index && !c.gone.Load(); i++ {
+			var ok bool
 			if ev.Err == nil {
-				base := ev.Count - int64(ev.Rows)
-				for j := 0; j < ev.Rows; j++ {
-					if index%256 == 0 {
-						extend()
-					}
-					accepted++
-					lastCount = base + int64(j) + 1
-					if !lw.put(appendAck(lw.buf(), index, int(lastCount))) {
-						return
-					}
-					index++
-				}
-				continue
+				ok = c.lw.put(appendAck(c.lw.buf(), i, c.done.Count-index+i+1))
+			} else {
+				ok = c.lw.emitErr(i, ev.Err)
 			}
-			for j := 0; j < ev.Rows; j++ {
-				errs++
-				if !lw.emitErr(index, ev.Err) {
-					return
-				}
-				index++
+			if !ok {
+				c.gone.Store(true)
 			}
 		}
-	}()
+	}
+}
 
-	gate := s.admission.RowGate(tenantFrom(req), false)
-	defer gate.Close()
-	var dec rowDecoder
-	rows := 0
-	shed := false
-	for {
-		raw, rowErr, more := src()
-		if !more || ctx.Err() != nil {
-			break
-		}
-		if rows%256 == 0 {
-			extend()
-		}
-		rows++
-		var row []float64
-		if rowErr == nil {
-			row, rowErr = dec.ingestRow(raw)
-		}
-		if rowErr == nil {
-			if rowErr = gate.Take(ctx); rowErr != nil {
-				// Shed terminates the stream, same as the single-node
-				// path: the error line surfaces through the ack drainer
-				// in input order, then the session closes.
-				sess.PushError(rowErr)
-				shed = true
-				break
-			}
-		}
-		if rowErr != nil {
-			sess.PushError(rowErr)
-			continue
-		}
-		if err := sess.Push(row); err != nil {
-			// Session-fatal: no healthy workers remain. The rows already
-			// dispatched surface as error events on Acks; stop feeding.
-			s.logger.Error("cluster ingest aborted", "model", name, "error", err)
-			break
-		}
+func (c *clusterSink) push(_ context.Context, _ int, row []float64) error {
+	// A session-fatal error ends the stream; the rows already
+	// dispatched surface as error events on Acks.
+	c.fatal = c.sess.Push(row) != nil
+	return nil
+}
+
+// fail reserves the row's slot in the session, so its error line
+// follows the acks still in flight for earlier rows.
+func (c *clusterSink) fail(_ int, err error) { c.sess.PushError(err) }
+func (c *clusterSink) flush()                { _ = c.sess.Flush() }
+func (c *clusterSink) live() bool            { return !c.fatal && !c.gone.Load() }
+
+func (c *clusterSink) end() ingestDone {
+	if err := c.sess.Close(); err != nil {
+		c.logger.Error("cluster ingest session closed with error", "model", c.key, "error", err)
 	}
-	closeErr := sess.Close()
-	<-drained
-	if shed {
-		t := time.Now().Add(shedDrainSlack)
-		_ = rc.SetReadDeadline(t)
-		_ = rc.SetWriteDeadline(t)
-	}
-	if closeErr != nil {
-		s.logger.Error("cluster ingest session closed with error",
-			"model", name, "error", closeErr)
-	}
-	done := ingestDone{Rows: rows, Accepted: accepted, Errors: errs, Count: int(lastCount)}
-	s.logger.Info("rows ingested via cluster",
-		"model", name, "rows", done.Rows, "accepted", done.Accepted,
-		"errors", done.Errors, "count", done.Count)
-	lw.emit(ingestDoneLine{Done: done})
+	<-c.drained
+	return c.done
 }
 
 // streamStatus reports a model's live stream (GET .../stream): row and

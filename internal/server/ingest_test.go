@@ -77,60 +77,80 @@ func onlineTestServer(t *testing.T, cfg online.Config) *httptest.Server {
 	return ts
 }
 
-// TestIngestContract drives the ingest framing end to end: bare-array
-// and {"row":...} lines ack in order, malformed and wrong-width rows
-// get error lines in their slots, and the final summary reconciles.
+// TestIngestContract drives the ingest framing end to end on a single
+// node and on a coordinator: bare-array and {"row":...} lines ack in
+// order, malformed and wrong-width rows get error lines in their slots,
+// and the final summary reconciles.
 func TestIngestContract(t *testing.T) {
-	ts := onlineTestServer(t, online.Config{RepublishRows: 1 << 30})
-	body := `[1, 2]
+	cases := []struct {
+		name  string
+		local bool
+		ts    func(t *testing.T) *httptest.Server
+	}{
+		{"single_node", true, func(t *testing.T) *httptest.Server {
+			return onlineTestServer(t, online.Config{RepublishRows: 1 << 30})
+		}},
+		{"clustered", false, func(t *testing.T) *httptest.Server {
+			return newClusterTestServer(t, 2).ts
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			ts := c.ts(t)
+			body := `[1, 2]
 {"row": [2, 4]}
 not json
 [1, 2, 3]
 {"other": true}
 [3, 6]
 `
-	resp := doRaw(t, "POST", ts.URL+"/v1/rules/live/ingest", ndjsonContentType, body)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("ingest status %d, want 200", resp.StatusCode)
-	}
-	lines, done := readIngestLines(t, resp)
-	if len(lines) != 6 {
-		t.Fatalf("got %d row lines, want 6: %+v", len(lines), lines)
-	}
-	for i, l := range lines {
-		if l.Index != i {
-			t.Fatalf("line %d carries index %d: ordering broken", i, l.Index)
-		}
-	}
-	wantErr := map[int]bool{2: true, 3: true, 4: true}
-	counts := 0
-	for i, l := range lines {
-		if wantErr[i] {
-			if l.Error == nil || l.Error.Code != CodeBadRequest {
-				t.Errorf("line %d: want bad_request error, got %+v", i, l)
+			resp := doRaw(t, "POST", ts.URL+"/v1/rules/live/ingest", ndjsonContentType, body)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("ingest status %d, want 200", resp.StatusCode)
 			}
-			continue
-		}
-		if l.Error != nil {
-			t.Errorf("line %d: unexpected error %+v", i, l.Error)
-			continue
-		}
-		counts++
-		if l.Count != counts {
-			t.Errorf("line %d: count %d, want %d", i, l.Count, counts)
-		}
-	}
-	if done.Done.Rows != 6 || done.Done.Accepted != 3 || done.Done.Errors != 3 || done.Done.Count != 3 {
-		t.Fatalf("done summary = %+v", *done.Done)
-	}
+			lines, done := readIngestLines(t, resp)
+			if len(lines) != 6 {
+				t.Fatalf("got %d row lines, want 6: %+v", len(lines), lines)
+			}
+			for i, l := range lines {
+				if l.Index != i {
+					t.Fatalf("line %d carries index %d: ordering broken", i, l.Index)
+				}
+			}
+			wantErr := map[int]bool{2: true, 3: true, 4: true}
+			counts := 0
+			for i, l := range lines {
+				if wantErr[i] {
+					if l.Error == nil || l.Error.Code != CodeBadRequest {
+						t.Errorf("line %d: want bad_request error, got %+v", i, l)
+					}
+					continue
+				}
+				if l.Error != nil {
+					t.Errorf("line %d: unexpected error %+v", i, l.Error)
+					continue
+				}
+				counts++
+				if l.Count != counts {
+					t.Errorf("line %d: count %d, want %d", i, l.Count, counts)
+				}
+			}
+			if done.Done.Rows != 6 || done.Done.Accepted != 3 || done.Done.Errors != 3 || done.Done.Count != 3 {
+				t.Fatalf("done summary = %+v", *done.Done)
+			}
+			if !c.local {
+				return
+			}
 
-	// The stream status agrees with the acks.
-	var status online.StreamStatus
-	if code := doJSON(t, "GET", ts.URL+"/v1/rules/live/stream", nil, &status); code != 200 {
-		t.Fatalf("stream status code %d", code)
-	}
-	if status.Rows != 3 || status.Width != 2 || status.Pending != 3 {
-		t.Fatalf("stream status = %+v", status)
+			// The stream status agrees with the acks.
+			var status online.StreamStatus
+			if code := doJSON(t, "GET", ts.URL+"/v1/rules/live/stream", nil, &status); code != 200 {
+				t.Fatalf("stream status code %d", code)
+			}
+			if status.Rows != 3 || status.Width != 2 || status.Pending != 3 {
+				t.Fatalf("stream status = %+v", status)
+			}
+		})
 	}
 }
 

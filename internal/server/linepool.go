@@ -1,7 +1,10 @@
 package server
 
-// Buffered NDJSON output shared by the streaming endpoints (batch
-// inference results and ingest acks). Lines are appended to a byte
+// The NDJSON connection discipline and buffered output shared by the
+// streaming endpoints (batch inference results and ingest acks).
+// startNDJSON sets up every such response the same way: full duplex,
+// deadlines rolled forward while rows flow and cut short after a shed,
+// 200 committed before the first row. Lines are appended to a byte
 // slice rented from a process-wide pool for the request and handed to
 // the ResponseWriter in blocks of about lineBlockBytes. Buffered lines
 // reach the client — one Flush — only before the handler may block:
@@ -16,7 +19,19 @@ import (
 	"io"
 	"net/http"
 	"sync"
+	"time"
 )
+
+// streamDeadlineSlack is how far the connection deadlines are pushed
+// ahead of a progressing stream (see startNDJSON).
+const streamDeadlineSlack = 5 * time.Minute
+
+// shedDrainSlack replaces the rolling deadline once a stream has shed:
+// just enough for the final lines to flush and the connection to wind
+// down. Without it, a rate-limited client could keep trickling rows and
+// have each roll push the deadline minutes out — holding a connection
+// (and its quota slot) open indefinitely while every row is refused.
+const shedDrainSlack = 5 * time.Second
 
 // lineBlockBytes is the pending-output size at which lines are written
 // through to the ResponseWriter without waiting for a flush point.
@@ -35,10 +50,12 @@ var linePool = sync.Pool{
 	New: func() any { return &lineBuf{b: make([]byte, 0, 2*lineBlockBytes)} },
 }
 
-// lineWriter buffers NDJSON lines for one response. Not safe for
+// lineWriter is one streaming response: its connection deadlines and
+// its buffered NDJSON lines. The line methods are not safe for
 // concurrent use — each request path has exactly one emitting
-// goroutine.
+// goroutine; the deadline methods are.
 type lineWriter struct {
+	rc      *http.ResponseController
 	w       http.ResponseWriter
 	flusher http.Flusher
 	lb      *lineBuf
@@ -46,11 +63,41 @@ type lineWriter struct {
 	failed  bool // a write failed: the client is gone
 }
 
-// newLineWriter rents a pooled buffer for the request. Callers must
-// close() when the response is done.
-func newLineWriter(w http.ResponseWriter) *lineWriter {
+// startNDJSON commits a 200 NDJSON response for a streaming route and
+// rents its pooled line buffer; callers must close() it. Without full
+// duplex the HTTP/1 server drains the whole request body before the
+// first response write, which would defeat streaming (and deadlock a
+// client that waits for early lines before sending more rows). The
+// server's global timeouts would sever any long stream, so the stream
+// sets its own deadline and rolls it forward while rows flow; a fully
+// stalled connection still dies within streamDeadlineSlack.
+func startNDJSON(w http.ResponseWriter) *lineWriter {
 	flusher, _ := w.(http.Flusher)
-	return &lineWriter{w: w, flusher: flusher, lb: linePool.Get().(*lineBuf)}
+	lw := &lineWriter{rc: http.NewResponseController(w), w: w, flusher: flusher}
+	_ = lw.rc.EnableFullDuplex()
+	lw.deadline(streamDeadlineSlack)
+	w.Header().Set("Content-Type", ndjsonContentType)
+	w.WriteHeader(http.StatusOK)
+	lw.lb = linePool.Get().(*lineBuf)
+	return lw
+}
+
+// roll pushes the deadlines out again at every 256th row of a
+// progressing stream.
+func (lw *lineWriter) roll(row int) {
+	if row%256 == 0 {
+		lw.deadline(streamDeadlineSlack)
+	}
+}
+
+// cutOff stops the rolling once a stream has shed: the final lines get
+// shedDrainSlack to flush, then the connection dies.
+func (lw *lineWriter) cutOff() { lw.deadline(shedDrainSlack) }
+
+func (lw *lineWriter) deadline(d time.Duration) {
+	t := time.Now().Add(d)
+	_ = lw.rc.SetReadDeadline(t)
+	_ = lw.rc.SetWriteDeadline(t)
 }
 
 // buf returns the pending output for an appending encoder to extend;
@@ -88,15 +135,14 @@ func (lw *lineWriter) write() bool {
 
 // flush sends every line produced so far to the client. Call it before
 // anything that may block.
-func (lw *lineWriter) flush() bool {
+func (lw *lineWriter) flush() {
 	if !lw.write() {
-		return false
+		return
 	}
 	if lw.written && lw.flusher != nil {
 		lw.flusher.Flush()
 	}
 	lw.written = false
-	return true
 }
 
 // emit encodes v with encoding/json as one NDJSON line, for the rare
