@@ -4,7 +4,7 @@ FUZZTIME ?= 10s
 # no staticcheck binary is on PATH (needs network for the first run).
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: all build vet test race lint verify verify-api verify-store verify-trace verify-online verify-alert verify-cluster verify-replica verify-fleet verify-admission fuzz bench clean
+.PHONY: all build vet fmtcheck test race lint verify verify-api verify-store verify-trace verify-online verify-alert verify-cluster verify-replica verify-fleet verify-admission fuzz bench clean
 
 all: build
 
@@ -13,6 +13,13 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# fmtcheck fails when gofmt would reformat any Go file in the tree.
+fmtcheck:
+	@unformatted="$$(gofmt -l .)"; \
+	if [ -n "$$unformatted" ]; then \
+		echo "fmtcheck: gofmt -l lists:"; echo "$$unformatted"; exit 1; \
+	fi
 
 test:
 	$(GO) test ./...
@@ -129,13 +136,13 @@ verify-admission:
 	$(GO) test -run 'TestV1Contract' -count=1 ./internal/server
 	$(GO) test -race -run 'TestAdmission' -count=1 ./cmd/rrserve
 
-# verify is the gate for every change: vet, a full build, the race
+# verify is the gate for every change: gofmt, vet, a full build, the race
 # detector across all packages, then the store persistence gauntlet,
 # the HTTP API contract, the tracing layer, the live-ingest loop, the
 # model-quality alert path, the sharded cluster, follower replication,
 # the fleet observability layer and admission control. (Lint is a
 # separate CI step — it may need the network to fetch staticcheck.)
-verify:
+verify: fmtcheck
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race ./...

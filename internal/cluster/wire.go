@@ -43,8 +43,8 @@ import (
 //
 //	magic "RRA1" | seq u64 | rows u32 | code u32 | shardRows u64 | crc32c u32
 //
-// All CRCs are Castagnoli over every byte before the checksum, the
-// same polynomial the store WAL uses.
+// All CRCs are Castagnoli over every byte before the checksum, as in
+// the replica wire; the store WAL uses IEEE.
 
 const (
 	chunkMagic  = uint32('R')<<24 | uint32('R')<<16 | uint32('C')<<8 | uint32('1')

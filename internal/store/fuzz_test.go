@@ -10,7 +10,7 @@ import (
 func fuzzSeedRecords(t testing.TB) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	for i, ev := range []walEvent{
+	for i, ev := range []Event{
 		{Seq: 1, Op: opPut, Name: "m", Version: 1, Rules: json.RawMessage(`{"means":[0],"eigenvalues":[1],"total_variance":1,"trained_rows":2,"vectors":[[1]]}`)},
 		{Seq: 2, Op: opDelete, Name: "m"},
 	} {

@@ -18,18 +18,14 @@ package store
 //     doc before swapping any state so a half-read snapshot can never
 //     become a torn served model.
 //
-// Memory-mode stores replicate identically (journal still advances seq
+// Memory-mode stores replicate identically (commit still advances seq
 // and the replication log); they just re-bootstrap from the leader
 // after a restart instead of from their own disk.
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-
-	"ratiorules/internal/core"
 )
 
 // ctxBackground avoids re-allocating a background context on every
@@ -45,39 +41,6 @@ const DefaultReplicationLog = 1024
 // follower catch-up (default DefaultReplicationLog; <= 0 retains none,
 // forcing every follower attach through a snapshot bootstrap).
 func WithReplicationLog(n int) Option { return func(o *options) { o.replicationLog = n } }
-
-// Event is one committed store mutation, exactly as journaled: the unit
-// of leader→follower replication. Op is "put" or "delete"; Rules is the
-// canonical model JSON (put only), byte-identical to what the leader
-// serves, so follower GETs and ETags match the leader at the same seq.
-type Event struct {
-	Seq     uint64          `json:"seq"`
-	Op      string          `json:"op"`
-	Name    string          `json:"name"`
-	Version int             `json:"version,omitempty"`
-	Rules   json.RawMessage `json:"rules,omitempty"`
-	// Trace is the leader's originating traceparent ("" when the
-	// mutation was untraced): what lets a follower's replica.apply span
-	// link back to the leader trace that committed the mutation. The
-	// field layout must stay identical to walEvent — the two convert by
-	// direct struct conversion.
-	Trace string `json:"trace,omitempty"`
-}
-
-// SnapshotRev is one retained revision inside a SnapshotDoc.
-type SnapshotRev struct {
-	Version int             `json:"version"`
-	Rules   json.RawMessage `json:"rules"`
-}
-
-// SnapshotDoc is a consistent full-state snapshot as of Seq — the same
-// shape the on-disk snapshot uses, exported for replication bootstrap.
-// GE annotations are advisory and in-memory only; they do not ship.
-type SnapshotDoc struct {
-	Seq         uint64                   `json:"seq"`
-	Models      map[string][]SnapshotRev `json:"models"`
-	LastVersion map[string]int           `json:"last_version,omitempty"`
-}
 
 // ErrSnapshotNeeded reports that the requested seq precedes the
 // retained replication log: the caller must bootstrap from SnapshotDoc.
@@ -108,12 +71,12 @@ func (s *Store) notifyChanged() {
 
 // appendReplog retains ev for follower catch-up, trimming to the
 // configured bound. Callers hold s.mu; ev.Seq must be s.seq.
-func (s *Store) appendReplog(ev walEvent) {
+func (s *Store) appendReplog(ev Event) {
 	if s.opts.replicationLog <= 0 {
 		s.replogBase = ev.Seq
 		return
 	}
-	s.replog = append(s.replog, Event(ev))
+	s.replog = append(s.replog, ev)
 	if over := len(s.replog) - s.opts.replicationLog; over > 0 {
 		s.replogBase = s.replog[over-1].Seq
 		s.replog = append(s.replog[:0], s.replog[over:]...)
@@ -154,22 +117,7 @@ func (s *Store) EventsSince(after uint64) ([]Event, error) {
 func (s *Store) SnapshotDoc() *SnapshotDoc {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	doc := &SnapshotDoc{
-		Seq:         s.seq,
-		Models:      make(map[string][]SnapshotRev, len(s.models)),
-		LastVersion: make(map[string]int, len(s.lastVersion)),
-	}
-	for name, m := range s.models {
-		revs := make([]SnapshotRev, len(m.revs))
-		for i, r := range m.revs {
-			revs[i] = SnapshotRev{Version: r.version, Rules: r.raw}
-		}
-		doc.Models[name] = revs
-	}
-	for name, v := range s.lastVersion {
-		doc.LastVersion[name] = v
-	}
-	return doc
+	return s.docLocked()
 }
 
 // ApplyEvent folds one replicated event into this store under the
@@ -182,30 +130,14 @@ func (s *Store) SnapshotDoc() *SnapshotDoc {
 func (s *Store) ApplyEvent(ev Event) (applied bool, err error) {
 	// Validate before taking the lock or touching the journal: a corrupt
 	// frame must never be written to the local WAL.
-	var rules *core.Rules
-	switch ev.Op {
-	case opPut:
-		if ev.Name == "" || ev.Version <= 0 {
-			return false, fmt.Errorf("store: replicated put seq %d: missing name or version", ev.Seq)
-		}
-		if rules, err = core.Load(bytes.NewReader(ev.Rules)); err != nil {
-			return false, fmt.Errorf("store: replicated put %q seq %d: %w", ev.Name, ev.Seq, err)
-		}
-	case opDelete:
-		if ev.Name == "" {
-			return false, fmt.Errorf("store: replicated delete seq %d: missing name", ev.Seq)
-		}
-	default:
-		return false, fmt.Errorf("store: replicated event seq %d: unknown op %q", ev.Seq, ev.Op)
+	rules, err := decodeEvent(ev)
+	if err != nil {
+		return false, fmt.Errorf("store: replicated event: %w", err)
 	}
-
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return false, ErrClosed
-	}
-	if s.failed != nil {
-		return false, s.failed
+	if err := s.writable(); err != nil {
+		return false, err
 	}
 	if ev.Seq <= s.seq {
 		return false, nil // already applied: seq idempotence
@@ -213,17 +145,9 @@ func (s *Store) ApplyEvent(ev Event) (applied bool, err error) {
 	if ev.Seq != s.seq+1 {
 		return false, fmt.Errorf("store: replicated seq %d after %d: gap, %w", ev.Seq, s.seq, ErrSnapshotNeeded)
 	}
-	if err := s.journal(ctxBackground, walEvent(ev)); err != nil {
+	if err := s.commit(ctxBackground, ev, rules); err != nil {
 		return false, err
 	}
-	switch ev.Op {
-	case opPut:
-		s.install(ev.Name, rev{version: ev.Version, rules: rules, raw: ev.Rules})
-	case opDelete:
-		delete(s.models, ev.Name)
-	}
-	s.met.models.Set(float64(len(s.models)))
-	s.maybeSnapshot(ctxBackground)
 	return true, nil
 }
 
@@ -239,39 +163,14 @@ func (s *Store) RestoreSnapshot(doc *SnapshotDoc) error {
 		return errors.New("store: nil snapshot doc")
 	}
 	// Validate first, outside the lock: Load every model revision.
-	models := make(map[string]*model, len(doc.Models))
-	for name, revs := range doc.Models {
-		m := &model{revs: make([]rev, len(revs))}
-		for i, sr := range revs {
-			rules, err := core.Load(bytes.NewReader(sr.Rules))
-			if err != nil {
-				return fmt.Errorf("store: snapshot model %q v%d: %w", name, sr.Version, err)
-			}
-			m.revs[i] = rev{version: sr.Version, rules: rules, raw: sr.Rules}
-		}
-		models[name] = m
+	models, lastVersion, err := loadDoc(doc)
+	if err != nil {
+		return err
 	}
-	lastVersion := make(map[string]int, len(doc.LastVersion))
-	for name, v := range doc.LastVersion {
-		lastVersion[name] = v
-	}
-	// The head version counters must cover the installed revisions even
-	// if the doc omitted last_version.
-	for name, m := range models {
-		for _, r := range m.revs {
-			if r.version > lastVersion[name] {
-				lastVersion[name] = r.version
-			}
-		}
-	}
-
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	if s.failed != nil {
-		return s.failed
+	if err := s.writable(); err != nil {
+		return err
 	}
 	s.models = models
 	s.lastVersion = lastVersion
@@ -285,7 +184,7 @@ func (s *Store) RestoreSnapshot(doc *SnapshotDoc) error {
 	// guard (seq <= snapshot seq is skipped) keeps recovery correct —
 	// but surface it so the follower can log.
 	s.sinceSnap = 1
-	err := s.snapshotLocked(ctxBackground)
+	err = s.snapshotLocked(ctxBackground)
 	s.notifyChanged()
 	if err != nil {
 		return fmt.Errorf("store: persisting restored snapshot: %w", err)

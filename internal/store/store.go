@@ -4,18 +4,25 @@
 //
 // Layout of a store directory:
 //
-//	wal.log        append-only write-ahead log of put/delete events
-//	               (length-prefixed JSON records with CRC32 checksums,
-//	               fsynced on every commit — see wal.go)
-//	snapshot.json  atomic full-state snapshot (write-temp + rename);
-//	               writing one compacts the WAL to zero
+//	wal.log        append-only write-ahead log, one Event per record
+//	               (length-prefixed JSON with an IEEE CRC32, fsynced on
+//	               every commit — see wal.go)
+//	snapshot.json  one SnapshotDoc, installed atomically (write-temp +
+//	               rename); writing one compacts the WAL to zero
+//
+// The same two types are the replication protocol (replication.go): a
+// follower applies the leader's Events and bootstraps from its
+// SnapshotDoc.
 //
 // Every Put of a model creates version n+1; Get serves the latest
 // revision, GetVersion a pinned one, and Rollback re-installs a prior
 // revision as a new head version (journaled as a plain put, so the
 // history is linear and replay stays trivial). Version counters survive
 // Delete, so a re-created model never reuses a version number — which
-// keeps HTTP ETags derived from versions truthful.
+// keeps HTTP ETags derived from versions truthful. Put, Delete,
+// Rollback and ApplyEvent change state only through commit: journal the
+// Event, fold it into the models, maybe snapshot. Replay validates with
+// the same decodeEvent as ApplyEvent and folds the same way.
 //
 // Recovery replays snapshot + WAL tail. A torn or corrupt final record
 // — the signature of a crash mid-append — is truncated with a warning;
@@ -220,22 +227,10 @@ func Open(dir string, opts ...Option) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
+	if s.models, s.lastVersion, err = loadDoc(snap); err != nil {
+		return nil, err
+	}
 	s.seq = snap.Seq
-	for name, revs := range snap.Models {
-		m := &model{}
-		for _, sr := range revs {
-			rules, err := core.Load(bytes.NewReader(sr.Rules))
-			if err != nil {
-				return nil, fmt.Errorf("store: snapshot model %q v%d: %w", name, sr.Version, err)
-			}
-			m.revs = append(m.revs, rev{version: sr.Version, rules: rules, raw: sr.Rules})
-		}
-		sort.Slice(m.revs, func(i, j int) bool { return m.revs[i].version < m.revs[j].version })
-		s.models[name] = m
-	}
-	for name, v := range snap.LastVersion {
-		s.lastVersion[name] = v
-	}
 
 	walPath := filepath.Join(dir, walFileName)
 	f, err := os.OpenFile(walPath, os.O_RDWR|os.O_CREATE, 0o644)
@@ -268,12 +263,15 @@ func Open(dir string, opts ...Option) (*Store, error) {
 		if ev.Seq <= snap.Seq {
 			continue // already folded into the snapshot
 		}
-		if err := s.apply(ev); err != nil {
+		s.seq = ev.Seq
+		rules, err := decodeEvent(ev)
+		if err != nil {
 			// CRC-valid but semantically bad: warn and keep the rest.
 			s.opts.logger.Warn("skipping unreplayable WAL event",
 				"dir", dir, "seq", ev.Seq, "op", ev.Op, "model", ev.Name, "err", err)
 			continue
 		}
+		s.fold(ev, rules)
 		replayed++
 	}
 	if _, err := f.Seek(int64(valid), 0); err != nil {
@@ -317,23 +315,40 @@ func encodeRules(r *core.Rules) ([]byte, error) {
 	return compact.Bytes(), nil
 }
 
-// apply folds one WAL event into the in-memory state (replay path).
-func (s *Store) apply(ev walEvent) error {
-	s.seq = ev.Seq
+// decodeEvent validates one journaled or replicated event — the single
+// check both WAL replay and ApplyEvent apply — and returns the decoded
+// model for a put.
+func decodeEvent(ev Event) (*core.Rules, error) {
 	switch ev.Op {
 	case opPut:
+		if ev.Name == "" || ev.Version <= 0 {
+			return nil, fmt.Errorf("put seq %d: missing name or version", ev.Seq)
+		}
 		rules, err := core.Load(bytes.NewReader(ev.Rules))
 		if err != nil {
-			return err
+			return nil, fmt.Errorf("put %q seq %d: %w", ev.Name, ev.Seq, err)
 		}
+		return rules, nil
+	case opDelete:
+		if ev.Name == "" {
+			return nil, fmt.Errorf("delete seq %d: missing name", ev.Seq)
+		}
+		return nil, nil
+	default:
+		return nil, fmt.Errorf("seq %d: unknown op %q", ev.Seq, ev.Op)
+	}
+}
+
+// fold applies one validated event to the in-memory models; rules is
+// the event's decoded model (put only). Callers hold s.mu.
+func (s *Store) fold(ev Event, rules *core.Rules) {
+	switch ev.Op {
+	case opPut:
 		s.install(ev.Name, rev{version: ev.Version, rules: rules, raw: ev.Rules})
-		return nil
 	case opDelete:
 		delete(s.models, ev.Name)
-		return nil
-	default:
-		return fmt.Errorf("unknown op %q", ev.Op)
 	}
+	s.met.models.Set(float64(len(s.models)))
 }
 
 // install appends a revision to a model's history, pruning beyond the
@@ -353,15 +368,28 @@ func (s *Store) install(name string, r rev) {
 	}
 }
 
-// journal commits one event to the WAL (no-op in memory mode) and
-// advances the sequence counter. On append or fsync failure the log is
-// truncated back to its pre-append size, so the file always ends at the
+// writable reports why the store refuses mutations (closed or wedged),
+// or nil. Callers hold s.mu.
+func (s *Store) writable() error {
+	if s.closed {
+		return ErrClosed
+	}
+	return s.failed
+}
+
+// commit is the one path by which Put, Delete, Rollback and ApplyEvent
+// change state: journal ev (WAL append and fsync in durable mode, the
+// replication log, tailer wakeup), fold it into the models, then run
+// the periodic compaction. rules is ev's decoded model (put only).
+//
+// On append or fsync failure the log is truncated back to its
+// pre-append size and nothing changes, so the file always ends at the
 // last acknowledged record and the caller can simply retry (reusing the
 // same seq and version, since neither advanced). If the truncation
 // itself fails the store wedges: every later mutation returns ErrFailed
 // rather than appending past torn bytes that recovery would stop at.
-// Callers hold s.mu.
-func (s *Store) journal(ctx context.Context, ev walEvent) error {
+// Callers hold s.mu and have checked writable.
+func (s *Store) commit(ctx context.Context, ev Event, rules *core.Rules) error {
 	// Stamp the committing request's trace onto the event (replicated
 	// applies arrive pre-stamped with the LEADER's trace and a traceless
 	// ctx, so an existing stamp is never overwritten): followers parent
@@ -382,10 +410,10 @@ func (s *Store) journal(ctx context.Context, ev walEvent) error {
 		n, err := s.wal.append(payload)
 		appendSpan.End()
 		if err == nil {
-			// commit is the fsync half of the WAL write — the span that
-			// shows up when the disk, not the solve, is the bottleneck.
+			// The fsync half of the WAL write: the span that shows up
+			// when the disk, not the solve, is the bottleneck.
 			_, fsyncSpan := trace.Start(ctx, "wal.fsync")
-			err = s.wal.commit()
+			err = s.wal.fsync()
 			fsyncSpan.End()
 		}
 		if err != nil {
@@ -394,7 +422,6 @@ func (s *Store) journal(ctx context.Context, ev walEvent) error {
 				s.opts.logger.Error("store failed: torn WAL could not be rolled back",
 					"dir", s.dir, "commit_err", err, "rollback_err", rbErr)
 				s.met.walFailures.Inc()
-				return fmt.Errorf("store: committing WAL record: %w", err)
 			}
 			s.met.walSizeBytes.Set(float64(s.wal.size))
 			return fmt.Errorf("store: committing WAL record: %w", err)
@@ -402,16 +429,16 @@ func (s *Store) journal(ctx context.Context, ev walEvent) error {
 		if s.wal.sync {
 			s.met.fsyncs.Inc()
 		}
-		s.met.appends.With(ev.Op).Inc()
 		s.met.walWrittenBytes.Add(float64(n))
 		s.met.walSizeBytes.Set(float64(s.wal.size))
-	} else {
-		s.met.appends.With(ev.Op).Inc()
 	}
+	s.met.appends.With(ev.Op).Inc()
 	s.seq = ev.Seq
 	s.sinceSnap++
 	s.appendReplog(ev)
 	s.notifyChanged()
+	s.fold(ev, rules)
+	s.maybeSnapshot(ctx)
 	return nil
 }
 
@@ -442,20 +469,15 @@ func (s *Store) PutContext(ctx context.Context, name string, rules *core.Rules) 
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return 0, ErrClosed
-	}
-	if s.failed != nil {
-		return 0, s.failed
+	if err := s.writable(); err != nil {
+		return 0, err
 	}
 	version := s.lastVersion[name] + 1
 	sp.SetAttr("version", version)
-	if err := s.journal(ctx, walEvent{Seq: s.seq + 1, Op: opPut, Name: name, Version: version, Rules: raw}); err != nil {
+	ev := Event{Seq: s.seq + 1, Op: opPut, Name: name, Version: version, Rules: raw}
+	if err := s.commit(ctx, ev, rules); err != nil {
 		return 0, err
 	}
-	s.install(name, rev{version: version, rules: rules, raw: raw})
-	s.met.models.Set(float64(len(s.models)))
-	s.maybeSnapshot(ctx)
 	return version, nil
 }
 
@@ -474,21 +496,15 @@ func (s *Store) DeleteContext(ctx context.Context, name string) (bool, error) {
 	sp.SetAttr("model", name)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return false, ErrClosed
-	}
-	if s.failed != nil {
-		return false, s.failed
+	if err := s.writable(); err != nil {
+		return false, err
 	}
 	if _, ok := s.models[name]; !ok {
 		return false, nil
 	}
-	if err := s.journal(ctx, walEvent{Seq: s.seq + 1, Op: opDelete, Name: name}); err != nil {
+	if err := s.commit(ctx, Event{Seq: s.seq + 1, Op: opDelete, Name: name}, nil); err != nil {
 		return false, err
 	}
-	delete(s.models, name)
-	s.met.models.Set(float64(len(s.models)))
-	s.maybeSnapshot(ctx)
 	return true, nil
 }
 
@@ -510,11 +526,8 @@ func (s *Store) RollbackContext(ctx context.Context, name string, version int) (
 	sp.SetAttr("to_version", version)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return nil, 0, ErrClosed
-	}
-	if s.failed != nil {
-		return nil, 0, s.failed
+	if err := s.writable(); err != nil {
+		return nil, 0, err
 	}
 	m := s.models[name]
 	if m == nil {
@@ -532,11 +545,10 @@ func (s *Store) RollbackContext(ctx context.Context, name string, version int) (
 		return nil, 0, fmt.Errorf("model %q version %d: %w", name, version, ErrVersionNotFound)
 	}
 	newVersion := s.lastVersion[name] + 1
-	if err := s.journal(ctx, walEvent{Seq: s.seq + 1, Op: opPut, Name: name, Version: newVersion, Rules: target.raw}); err != nil {
+	ev := Event{Seq: s.seq + 1, Op: opPut, Name: name, Version: newVersion, Rules: target.raw}
+	if err := s.commit(ctx, ev, target.rules); err != nil {
 		return nil, 0, err
 	}
-	s.install(name, rev{version: newVersion, rules: target.rules, raw: target.raw})
-	s.maybeSnapshot(ctx)
 	return target.rules, newVersion, nil
 }
 
@@ -723,22 +735,8 @@ func (s *Store) snapshotLocked(ctx context.Context) error {
 	timer := obs.NewTimer(s.met.snapshotSeconds)
 	_, snapSpan := trace.Start(ctx, "store.snapshot")
 	defer snapSpan.End()
-	snap := &snapshotFile{
-		Format:      snapshotFormat,
-		Seq:         s.seq,
-		Models:      make(map[string][]snapRev, len(s.models)),
-		LastVersion: make(map[string]int, len(s.lastVersion)),
-	}
-	for name, m := range s.models {
-		revs := make([]snapRev, len(m.revs))
-		for i, r := range m.revs {
-			revs[i] = snapRev{Version: r.version, Rules: r.raw}
-		}
-		snap.Models[name] = revs
-	}
-	for name, v := range s.lastVersion {
-		snap.LastVersion[name] = v
-	}
+	snap := s.docLocked()
+	snap.Format = snapshotFormat
 	if err := writeSnapshot(s.dir, snap); err != nil {
 		return err
 	}

@@ -12,7 +12,7 @@ import (
 //	offset  size  field
 //	0       4     payload length N
 //	4       4     CRC32 (IEEE) of the payload
-//	8       N     payload: one walEvent as JSON
+//	8       N     payload: one Event as JSON
 //
 // Records are appended with a single Write call and fsynced before the
 // mutation is acknowledged, so a crash leaves at most one torn record
@@ -34,20 +34,23 @@ const (
 	opDelete = "delete"
 )
 
-// walEvent is one journaled mutation. Seq is a store-wide monotonic
+// Event is one committed store mutation: the payload of a WAL record and
+// the unit of leader→follower replication. Seq is a store-wide monotonic
 // sequence number: replay skips events at or below the snapshot's
 // sequence, which makes the snapshot-then-compact dance idempotent even
 // if the process dies between the snapshot rename and the WAL truncate.
-type walEvent struct {
+// Rules is the canonical model JSON (put only), byte-identical to what
+// the leader serves, so follower GETs and ETags match the leader at the
+// same seq.
+type Event struct {
 	Seq     uint64          `json:"seq"`
 	Op      string          `json:"op"`
 	Name    string          `json:"name"`
 	Version int             `json:"version,omitempty"`
-	Rules   json.RawMessage `json:"rules,omitempty"` // core.Rules JSON (put only)
+	Rules   json.RawMessage `json:"rules,omitempty"`
 	// Trace is the W3C traceparent of the mutation that journaled the
-	// event ("" when untraced). It ships to follower replicas via the
-	// identical-shape Event struct, so a follower's replica.apply span
-	// can continue the leader's originating trace.
+	// event ("" when untraced), so a follower's replica.apply span can
+	// continue the leader's originating trace.
 	Trace string `json:"trace,omitempty"`
 }
 
@@ -65,7 +68,7 @@ func encodeRecord(payload []byte) []byte {
 // to len(buf) when the log is clean). It never fails: anything invalid
 // simply ends the walk, which is exactly the truncate-and-warn recovery
 // contract.
-func decodeRecords(buf []byte) (events []walEvent, valid int) {
+func decodeRecords(buf []byte) (events []Event, valid int) {
 	off := 0
 	for {
 		if len(buf)-off < walHeaderSize {
@@ -80,7 +83,7 @@ func decodeRecords(buf []byte) (events []walEvent, valid int) {
 		if crc32.ChecksumIEEE(payload) != sum {
 			return events, off
 		}
-		var ev walEvent
+		var ev Event
 		if err := json.Unmarshal(payload, &ev); err != nil {
 			return events, off
 		}
@@ -118,8 +121,8 @@ func (w *walWriter) append(payload []byte) (int, error) {
 	return len(rec), nil
 }
 
-// commit makes the last append durable.
-func (w *walWriter) commit() error {
+// fsync makes the last append durable.
+func (w *walWriter) fsync() error {
 	if !w.sync {
 		return nil
 	}
