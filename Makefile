@@ -136,14 +136,18 @@ verify-admission:
 	$(GO) test -run 'TestV1Contract' -count=1 ./internal/server
 	$(GO) test -race -run 'TestAdmission' -count=1 ./cmd/rrserve
 
-# verify is the gate for every change: gofmt, vet, a full build, the race
-# detector across all packages, then the store persistence gauntlet,
+# verify is the gate for every change: gofmt, vet (of this module and of
+# perfbench, a separate module that root builds never compile, so an API
+# change it depends on fails here rather than when the benchmark runs),
+# a full build, the race detector across all packages, then the store
+# persistence gauntlet,
 # the HTTP API contract, the tracing layer, the live-ingest loop, the
 # model-quality alert path, the sharded cluster, follower replication,
 # the fleet observability layer and admission control. (Lint is a
 # separate CI step — it may need the network to fetch staticcheck.)
 verify: fmtcheck
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race ./...
 	$(MAKE) verify-store
@@ -166,6 +170,8 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzReadCSV$$' -fuzztime=$(FUZZTIME) ./internal/dataset
 	$(GO) test -run='^$$' -fuzz='^FuzzCSVSource$$' -fuzztime=$(FUZZTIME) ./internal/dataset
 	$(GO) test -run='^$$' -fuzz='^FuzzRowCodec$$' -fuzztime=$(FUZZTIME) ./internal/server
+	$(GO) test -run='^$$' -fuzz='^FuzzReplicaFrame$$' -fuzztime=$(FUZZTIME) ./internal/replica
+	$(GO) test -run='^$$' -fuzz='^FuzzClusterWire$$' -fuzztime=$(FUZZTIME) ./internal/cluster
 
 bench:
 	$(GO) run ./cmd/rrbench -experiment all

@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/rand"
 	"net/http/httptest"
-	"sync"
 	"testing"
 	"time"
 
@@ -14,32 +13,25 @@ import (
 	"ratiorules/internal/matrix"
 	"ratiorules/internal/obs"
 	"ratiorules/internal/online"
+	"ratiorules/internal/store"
 )
 
-// memStore is a minimal online.ModelStore for tests.
-type memStore struct {
-	mu       sync.Mutex
-	rules    map[string]*core.Rules
-	versions map[string]int
+// modelStore adapts a memory store.Store to online.ModelStore, so the
+// tests publish through the shipped store.
+type modelStore struct{ *store.Store }
+
+func newModelStore() modelStore {
+	return modelStore{store.OpenMemory(store.WithObs(obs.NewRegistry()))}
 }
 
-func (s *memStore) Put(_ context.Context, name string, r *core.Rules) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.rules == nil {
-		s.rules = map[string]*core.Rules{}
-		s.versions = map[string]int{}
-	}
-	s.rules[name] = r
-	s.versions[name]++
-	return s.versions[name], nil
+func (s modelStore) Put(ctx context.Context, name string, r *core.Rules) (int, error) {
+	return s.PutContext(ctx, name, r)
 }
 
-func (s *memStore) GetWithVersion(name string) (*core.Rules, int, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	r, ok := s.rules[name]
-	return r, s.versions[name], ok
+func (s modelStore) GetWithVersion(name string) (*core.Rules, int, bool) { return s.Get(name) }
+
+func (s modelStore) Rollback(ctx context.Context, name string, version int) (*core.Rules, int, error) {
+	return s.RollbackContext(ctx, name, version)
 }
 
 // testRows builds a deterministic rank-2 dataset with multiplicative
@@ -70,14 +62,14 @@ func testRows(n, width int, seed int64) [][]float64 {
 type testCluster struct {
 	c       *Coordinator
 	mgr     *online.Manager
-	store   *memStore
+	store   modelStore
 	workers []*Worker
 	servers []*httptest.Server
 }
 
 func newTestCluster(t *testing.T, n int) *testCluster {
 	t.Helper()
-	tc := &testCluster{store: &memStore{}}
+	tc := &testCluster{store: newModelStore()}
 	urls := make([]string, n)
 	for i := 0; i < n; i++ {
 		w := NewWorker()
@@ -197,7 +189,7 @@ func TestShardMergeEquivalence(t *testing.T) {
 	}
 
 	// Single-node reference with the identical manager configuration.
-	refStore := &memStore{}
+	refStore := newModelStore()
 	refMgr, err := online.NewManager(refStore, online.Config{Seed: 42, RepublishRows: 1 << 30})
 	if err != nil {
 		t.Fatal(err)
@@ -449,8 +441,8 @@ func TestLocalWorkersEquivalence(t *testing.T) {
 	ctx := context.Background()
 
 	run := func(local bool) (*core.Rules, int, int) {
-		store := &memStore{}
-		mgr, err := online.NewManager(store, online.Config{Seed: 42, RepublishRows: 1 << 30})
+		ms := newModelStore()
+		mgr, err := online.NewManager(ms, online.Config{Seed: 42, RepublishRows: 1 << 30})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -488,7 +480,7 @@ func TestLocalWorkersEquivalence(t *testing.T) {
 		if err := c.MergeNow(ctx, "m"); err != nil {
 			t.Fatal(err)
 		}
-		r, _, ok := store.GetWithVersion("m")
+		r, _, ok := ms.GetWithVersion("m")
 		if !ok {
 			t.Fatal("merge published nothing")
 		}
@@ -522,8 +514,7 @@ func TestLocalWorkersEquivalence(t *testing.T) {
 // splits the chunk, and its error event lands between the acks for the
 // rows around it.
 func TestLocalWorkerErrorPositions(t *testing.T) {
-	store := &memStore{}
-	mgr, err := online.NewManager(store, online.Config{Seed: 1, RepublishRows: 1 << 30})
+	mgr, err := online.NewManager(newModelStore(), online.Config{Seed: 1, RepublishRows: 1 << 30})
 	if err != nil {
 		t.Fatal(err)
 	}

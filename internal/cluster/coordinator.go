@@ -81,9 +81,6 @@ type Config struct {
 	Tracer *trace.Tracer
 	// Logger receives membership and merge lines; nil is silent.
 	Logger *slog.Logger
-	// Client performs worker HTTP; nil builds one with sane keep-alive
-	// settings.
-	Client *http.Client
 }
 
 func (c Config) withDefaults() Config {
@@ -110,11 +107,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Logger == nil {
 		c.Logger = obs.NopLogger()
-	}
-	if c.Client == nil {
-		tr := http.DefaultTransport.(*http.Transport).Clone()
-		tr.MaxIdleConnsPerHost = 16
-		c.Client = &http.Client{Transport: tr}
 	}
 	return c
 }
@@ -170,10 +162,13 @@ func New(cfg Config) (*Coordinator, error) {
 		return nil, errors.New("cluster: coordinator requires an online manager")
 	}
 	cfg = cfg.withDefaults()
+	// Worker HTTP keeps idle connections to each worker for reuse.
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	tr.MaxIdleConnsPerHost = 16
 	c := &Coordinator{
 		cfg:      cfg,
 		met:      newClusterMetrics(cfg.Metrics),
-		client:   cfg.Client,
+		client:   &http.Client{Transport: tr},
 		log:      cfg.Logger,
 		tainted:  make(map[string]bool),
 		retained: make(map[string]map[string]*core.StreamMiner),

@@ -154,6 +154,7 @@ func (s *Session) Push(row []float64) error {
 			return nil
 		}
 		s.width = len(row)
+		s.chunkCap = min(s.chunkCap, max(1, maxChunkCells/s.width))
 		s.c.registerModel(s.name, s.width, s.decay)
 	}
 	if len(row) != s.width {

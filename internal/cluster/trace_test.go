@@ -30,7 +30,7 @@ func TestCrossNodeTracePropagation(t *testing.T) {
 		t.Cleanup(srv.Close)
 		urls[i] = srv.URL
 	}
-	mgr, err := online.NewManager(&memStore{}, online.Config{Seed: 42, RepublishRows: 1 << 30})
+	mgr, err := online.NewManager(newModelStore(), online.Config{Seed: 42, RepublishRows: 1 << 30})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestUntracedIngestOpensNoWorkerTrace(t *testing.T) {
 	srv := httptest.NewServer(w.Handler())
 	t.Cleanup(srv.Close)
 
-	mgr, err := online.NewManager(&memStore{}, online.Config{Seed: 1, RepublishRows: 1 << 30})
+	mgr, err := online.NewManager(newModelStore(), online.Config{Seed: 1, RepublishRows: 1 << 30})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,11 +59,14 @@ const (
 	// suffixes without letting a corrupt length field allocate much.
 	MaxChunkTrace = 128
 
-	// MaxChunkRows bounds a single wire chunk; with the width cap below
-	// a frame stays under 8 MiB however it is filled.
+	// MaxChunkRows bounds a single wire chunk's rows.
 	MaxChunkRows = 65536
 	// MaxWireWidth bounds the row width a worker will accept.
 	MaxWireWidth = 4096
+	// maxChunkCells bounds rows·width, so a chunk payload stays within
+	// 8 MiB however it is shaped and a corrupt header cannot make a
+	// worker allocate more.
+	maxChunkCells = 1 << 20
 )
 
 // Ack codes. Anything non-zero aborts the session: the shard cannot
@@ -185,7 +188,7 @@ func ReadChunk(r io.Reader) (Chunk, error) {
 	}
 	width := int(binary.LittleEndian.Uint32(hdr[4:]))
 	rows := int(binary.LittleEndian.Uint32(hdr[8:]))
-	if width <= 0 || width > MaxWireWidth || rows < 0 || rows > MaxChunkRows {
+	if width <= 0 || width > MaxWireWidth || rows < 0 || rows > MaxChunkRows || rows*width > maxChunkCells {
 		return Chunk{}, fmt.Errorf("cluster: chunk dims %d x %d: %w", rows, width, ErrBadFrame)
 	}
 	c := Chunk{

@@ -2,10 +2,12 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -201,5 +203,28 @@ func TestChunkTraceCorruption(t *testing.T) {
 	}
 	if _, err := ReadChunk(bytes.NewReader(frame)); err != nil {
 		t.Fatalf("pristine frame: %v", err)
+	}
+}
+
+// TestChunkCellCap: rows and width each within their caps can still
+// multiply to gigabytes; the decoder rejects such a header before it
+// allocates the payload, and accepts a chunk of exactly maxChunkCells.
+func TestChunkCellCap(t *testing.T) {
+	at := make([]float64, maxChunkCells)
+	frame := AppendChunk(nil, 1, MaxWireWidth, 0, at)
+	if got, err := ReadChunk(bytes.NewReader(frame)); err != nil || len(got.Rows) != maxChunkCells {
+		t.Fatalf("chunk at the cell cap: %d cells, %v", len(got.Rows), err)
+	}
+
+	binary.LittleEndian.PutUint32(frame[8:], maxChunkCells/MaxWireWidth+1)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadChunk(bytes.NewReader(frame))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("chunk over the cell cap: got %v, want ErrBadFrame", err)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+		t.Fatalf("rejecting an over-cap header allocated %d bytes", n)
 	}
 }

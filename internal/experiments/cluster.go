@@ -14,6 +14,7 @@ import (
 	"ratiorules/internal/matrix"
 	"ratiorules/internal/obs"
 	"ratiorules/internal/online"
+	"ratiorules/internal/server"
 )
 
 // ClusterResult measures the sharded ingest/mining cluster against a
@@ -80,14 +81,14 @@ func clusterData(rows, width, holdout int) (flat [][]float64, test *matrix.Dense
 // newBenchManager builds an isolated manager whose reservoir sampling
 // is seeded identically across the single-node and cluster runs, so
 // both publish through the same gate decision on the same holdout.
-func newBenchManager() (*memStore, *online.Manager, error) {
-	store := &memStore{}
-	mgr, err := online.NewManager(store, online.Config{
+func newBenchManager() (*server.Registry, *online.Manager, error) {
+	reg := server.NewRegistry()
+	mgr, err := online.NewManager(reg, online.Config{
 		RepublishRows: 1 << 30, // triggers driven explicitly
 		Metrics:       obs.Default(),
 		Seed:          SplitSeed,
 	})
-	return store, mgr, err
+	return reg, mgr, err
 }
 
 // RunCluster benchmarks a coordinator fronting workers (default 4)

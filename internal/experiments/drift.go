@@ -13,13 +13,12 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
-	"sync"
 	"time"
 
-	"ratiorules/internal/core"
 	"ratiorules/internal/obs"
 	"ratiorules/internal/obs/alert"
 	"ratiorules/internal/online"
+	"ratiorules/internal/server"
 )
 
 // DriftResult captures one detect-and-recover cycle.
@@ -45,49 +44,6 @@ type DriftResult struct {
 	RolledBack      bool          `json:"rolled_back"`
 	RollbackLatency time.Duration `json:"rollback_latency_ns"`
 	PostRollbackGE  float64       `json:"post_rollback_ge"`
-}
-
-// versionedMemStore is a ModelStore that retains every published
-// version, so the monitor's auto-rollback has history to restore from.
-type versionedMemStore struct {
-	mu      sync.Mutex
-	history []*core.Rules
-}
-
-func (s *versionedMemStore) Put(_ context.Context, _ string, r *core.Rules) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.history = append(s.history, r)
-	return len(s.history), nil
-}
-
-func (s *versionedMemStore) GetWithVersion(string) (*core.Rules, int, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.history) == 0 {
-		return nil, 0, false
-	}
-	return s.history[len(s.history)-1], len(s.history), true
-}
-
-func (s *versionedMemStore) GetVersion(_ string, version int) (*core.Rules, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if version < 1 || version > len(s.history) {
-		return nil, false
-	}
-	return s.history[version-1], true
-}
-
-func (s *versionedMemStore) Rollback(_ context.Context, _ string, version int) (*core.Rules, int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if version < 1 || version > len(s.history) {
-		return nil, 0, fmt.Errorf("experiments: no version %d", version)
-	}
-	r := s.history[version-1]
-	s.history = append(s.history, r)
-	return r, len(s.history), nil
 }
 
 // RunDrift streams rows <= 0 ? 20000 : rows clean rank-1 rows of width
@@ -121,8 +77,7 @@ func RunDrift(rows, width int) (*DriftResult, error) {
 		return nil, fmt.Errorf("experiments: drift alerts: %w", err)
 	}
 
-	store := &versionedMemStore{}
-	mgr, err := online.NewManager(store, online.Config{
+	mgr, err := online.NewManager(server.NewRegistry(), online.Config{
 		RepublishRows: rows + 1, // driven manually below
 		GESlack:       1e12,     // disarm the gate: the alert must catch the shift
 		Alerts:        eng,

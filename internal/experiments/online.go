@@ -5,12 +5,11 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
-	"sync"
 	"time"
 
-	"ratiorules/internal/core"
 	"ratiorules/internal/obs"
 	"ratiorules/internal/online"
+	"ratiorules/internal/server"
 )
 
 // OnlineResult measures the live-ingest subsystem off the HTTP path:
@@ -36,27 +35,6 @@ type OnlineResult struct {
 	GEGateTotal  time.Duration
 	GEGateMean   time.Duration
 	OverheadFrac float64
-}
-
-// memStore is the minimal online.ModelStore: a version counter and the
-// last published model, enough to exercise the promotion path.
-type memStore struct {
-	mu      sync.Mutex
-	rules   *core.Rules
-	version int
-}
-
-func (s *memStore) Put(_ context.Context, _ string, r *core.Rules) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.rules, s.version = r, s.version+1
-	return s.version, nil
-}
-
-func (s *memStore) GetWithVersion(string) (*core.Rules, int, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.rules, s.version, s.rules != nil
 }
 
 // onlineGateSeconds snapshots the online republish/gate histograms.
@@ -93,8 +71,7 @@ func RunOnline(rows, width int) (*OnlineResult, error) {
 		chunk = 1
 	}
 
-	store := &memStore{}
-	mgr, err := online.NewManager(store, online.Config{
+	mgr, err := online.NewManager(server.NewRegistry(), online.Config{
 		// Row-count triggering is driven manually below so the push
 		// loop times only pushes.
 		RepublishRows: rows + 1,

@@ -9,6 +9,7 @@ import (
 
 	"ratiorules/internal/obs/profile"
 	"ratiorules/internal/online"
+	"ratiorules/internal/server"
 )
 
 // ProfileResult quantifies what the always-on profiling ring costs the
@@ -58,8 +59,7 @@ func RunProfileOverhead(rows, width int) (*ProfileResult, error) {
 		width = 32
 	}
 
-	store := &memStore{}
-	mgr, err := online.NewManager(store, online.Config{
+	mgr, err := online.NewManager(server.NewRegistry(), online.Config{
 		// No republishing: the passes time pushes and nothing else.
 		RepublishRows: 1 << 30,
 		Seed:          SplitSeed,

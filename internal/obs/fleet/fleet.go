@@ -63,8 +63,6 @@ type Config struct {
 	Interval time.Duration
 	// Timeout bounds each member request; DefaultTimeout if 0.
 	Timeout time.Duration
-	// Client issues the scrapes; a fresh client if nil.
-	Client *http.Client
 	// Logger receives scrape-failure lines; nil uses slog.Default.
 	Logger *slog.Logger
 	// Metrics registers the rr_fleet_* meta-metrics when non-nil.
@@ -143,12 +141,9 @@ func New(cfg Config) *Collector {
 	}
 	c := &Collector{
 		cfg:    cfg,
-		client: cfg.Client,
+		client: &http.Client{},
 		logger: cfg.Logger,
 		nodes:  make(map[string]*nodeState),
-	}
-	if c.client == nil {
-		c.client = &http.Client{}
 	}
 	if reg := cfg.Metrics; reg != nil {
 		c.members = reg.Gauge("rr_fleet_members",

@@ -46,6 +46,8 @@ type streamCheckpoint struct {
 
 	// Quality-monitor state (format 1, additive: sidecars written
 	// before these fields existed load with empty monitor state).
+	// VersionGE copies the store's per-version GE annotations, which
+	// the store itself never journals; loading re-attaches them.
 	GEHistory     []GESample      `json:"ge_history,omitempty"`
 	Outcomes      []bool          `json:"outcomes,omitempty"`
 	VersionGE     map[int]float64 `json:"version_ge,omitempty"`
@@ -121,16 +123,17 @@ func (m *Manager) checkpoint(st *Stream) error {
 
 		GEHistory:     append([]GESample(nil), st.geHistory...),
 		Outcomes:      append([]bool(nil), st.outcomes...),
+		VersionGE:     make(map[int]float64),
 		GEEps:         st.geEps,
 		AutoRollbacks: st.autoRollbacks,
 	}
-	if len(st.versionGE) > 0 {
-		cp.VersionGE = make(map[int]float64, len(st.versionGE))
-		for v, ge := range st.versionGE {
-			cp.VersionGE[v] = ge
+	st.mu.Unlock()
+	versions, _ := m.store.Versions(st.name)
+	for _, info := range versions {
+		if info.GE != nil {
+			cp.VersionGE[info.Version] = *info.GE
 		}
 	}
-	st.mu.Unlock()
 
 	doc, err := json.Marshal(cp)
 	if err != nil {
@@ -185,11 +188,12 @@ func (m *Manager) loadCheckpoints() error {
 	return nil
 }
 
-// loadCheckpoint parses one sidecar into a live stream. The reservoir
-// RNG is re-derived from the configured seed (its position is not
-// state worth persisting: Seen is restored, so replacement
-// probabilities stay correct, the sample just continues with a fresh
-// random tape).
+// loadCheckpoint parses one sidecar into a live stream and re-attaches
+// its per-version GE records to the store (versions the store no longer
+// retains are ignored by it). The reservoir RNG is re-derived from the
+// configured seed (its position is not state worth persisting: Seen is
+// restored, so replacement probabilities stay correct, the sample just
+// continues with a fresh random tape).
 func (m *Manager) loadCheckpoint(path string) (*Stream, error) {
 	doc, err := os.ReadFile(path)
 	if err != nil {
@@ -242,9 +246,7 @@ func (m *Manager) loadCheckpoint(path string) (*Stream, error) {
 	}
 	st.outcomes = cp.Outcomes
 	for v, ge := range cp.VersionGE {
-		if v > 0 {
-			st.versionGE[v] = ge
-		}
+		m.store.SetVersionGE(cp.Name, v, ge)
 	}
 	st.geEps = cp.GEEps
 	st.autoRollbacks = cp.AutoRollbacks

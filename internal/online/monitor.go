@@ -9,10 +9,11 @@ package online
 // between gate decisions. Here every gate decision and every
 // Config.GEEvalEvery tick appends a timestamped sample to a bounded
 // per-stream ring (persisted in the checkpoint sidecars, so trends
-// survive restarts), the ring feeds the alert engine after each
+// survive restarts), each measured version's GE is annotated on the
+// store's revision, the ring feeds the alert engine after each
 // sample, and — opt-in — a firing sustained-regression alert triggers
-// a rollback to the best prior version the monitor has GE numbers
-// for, re-scored against the current holdout so the choice reflects
+// a rollback to the best retained version with a GE annotation,
+// re-scored against the current holdout so the choice reflects
 // today's data rather than the data the version was promoted on.
 
 import (
@@ -20,7 +21,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"ratiorules/internal/core"
@@ -45,22 +45,6 @@ const (
 	// the rejection-rate rule.
 	outcomeWindow = 64
 )
-
-// RollbackStore is the optional store capability auto-rollback needs:
-// reading prior versions and restoring one as the new head. Satisfied
-// by server.Registry; plain ModelStores (e.g. bench fakes) without it
-// simply never roll back.
-type RollbackStore interface {
-	GetVersion(name string, version int) (*core.Rules, bool)
-	Rollback(ctx context.Context, name string, version int) (*core.Rules, int, error)
-}
-
-// GEAnnotator is the optional store capability for attaching the
-// monitor's GE measurements to version metadata, so version listings
-// can show quality next to size and age.
-type GEAnnotator interface {
-	SetVersionGE(name string, version int, ge float64)
-}
 
 // GESample is one point of a model's quality time series.
 type GESample struct {
@@ -137,7 +121,7 @@ func (m *Manager) evalGE(ctx context.Context, name string) (GESample, error) {
 	if err != nil {
 		return GESample{}, fmt.Errorf("online: building holdout for %q: %w", name, err)
 	}
-	ge, err := core.GE1With(served, test, core.GEOptions{Workers: m.cfg.GateWorkers})
+	ge, err := core.GE1With(served, test, core.GEOptions{})
 	if err != nil {
 		return GESample{}, fmt.Errorf("online: evaluating served GE for %q: %w", name, err)
 	}
@@ -146,10 +130,9 @@ func (m *Manager) evalGE(ctx context.Context, name string) (GESample, error) {
 	sample := GESample{T: time.Now(), ServedGE: ge, Version: version, Source: "eval"}
 	st.mu.Lock()
 	st.appendGE(sample, m.cfg.GEHistorySize)
-	st.versionGE[version] = ge
 	st.geEps = rmsScale(holdout) * 1e-9
 	st.mu.Unlock()
-	m.annotateVersionGE(name, version, ge)
+	m.store.SetVersionGE(name, version, ge)
 	m.runAlerts(ctx, name)
 	return sample, nil
 }
@@ -201,50 +184,6 @@ func (s *Stream) recordGateSample(res RepublishResult, eps float64, max int) {
 		s.outcomes = s.outcomes[:outcomeWindow]
 	}
 	s.geEps = eps
-	if res.Promoted {
-		s.versionGE[res.Version] = res.CandidateGE
-	}
-}
-
-// pruneVersionGE drops the GE records of versions the store no longer
-// retains. Without it the map gains an entry per promotion forever, and
-// every checkpoint encodes it whole; with it the map is bounded by the
-// store's retention (unbounded retention keeps every record, as the
-// store does). Stores that cannot serve old versions are left alone.
-// The store is queried outside the stream lock.
-func (m *Manager) pruneVersionGE(st *Stream) {
-	rb, ok := m.store.(RollbackStore)
-	if !ok {
-		return
-	}
-	st.mu.Lock()
-	versions := make([]int, 0, len(st.versionGE))
-	for v := range st.versionGE {
-		versions = append(versions, v)
-	}
-	st.mu.Unlock()
-	var gone []int
-	for _, v := range versions {
-		if _, ok := rb.GetVersion(st.name, v); !ok {
-			gone = append(gone, v)
-		}
-	}
-	if len(gone) == 0 {
-		return
-	}
-	st.mu.Lock()
-	for _, v := range gone {
-		delete(st.versionGE, v)
-	}
-	st.mu.Unlock()
-}
-
-// annotateVersionGE attaches a GE measurement to store version
-// metadata when the store supports it.
-func (m *Manager) annotateVersionGE(name string, version int, ge float64) {
-	if ann, ok := m.store.(GEAnnotator); ok {
-		ann.SetVersionGE(name, version, ge)
-	}
 }
 
 // runAlerts feeds one stream's current GE series and gate outcomes to
@@ -284,11 +223,10 @@ func (m *Manager) runAlerts(ctx context.Context, name string) {
 	}
 }
 
-// maybeAutoRollback re-scores every prior version the monitor has GE
-// numbers for against the current holdout, and restores the best one
-// when it beats the served model by RollbackMargin. Edge-triggered
-// (only on transitions to firing), cooldown-gated per stream, and a
-// no-op when the store cannot roll back.
+// maybeAutoRollback re-scores every retained version the store holds a
+// GE annotation for against the current holdout, and restores the best
+// one when it beats the served model by RollbackMargin. Edge-triggered
+// (only on transitions to firing) and cooldown-gated per stream.
 func (m *Manager) maybeAutoRollback(ctx context.Context, name string, tr alert.Transition) {
 	ctx, sp := trace.Start(ctx, "online.auto_rollback")
 	outcome := "skipped"
@@ -306,11 +244,6 @@ func (m *Manager) maybeAutoRollback(ctx context.Context, name string, tr alert.T
 		}
 	}()
 
-	rb, ok := m.store.(RollbackStore)
-	if !ok {
-		m.cfg.Logger.Debug("auto-rollback unavailable: store cannot roll back", "model", name)
-		return
-	}
 	st := m.lookup(name)
 	if st == nil {
 		return
@@ -318,10 +251,6 @@ func (m *Manager) maybeAutoRollback(ctx context.Context, name string, tr alert.T
 	st.mu.Lock()
 	holdout := append([][]float64(nil), st.reservoir...)
 	last := st.lastRollback
-	versions := make([]int, 0, len(st.versionGE))
-	for v := range st.versionGE {
-		versions = append(versions, v)
-	}
 	st.mu.Unlock()
 	if m.cfg.RollbackCooldown > 0 && !last.IsZero() && time.Since(last) < m.cfg.RollbackCooldown {
 		outcome = "cooldown"
@@ -340,7 +269,7 @@ func (m *Manager) maybeAutoRollback(ctx context.Context, name string, tr alert.T
 	if err != nil {
 		return
 	}
-	geOpts := core.GEOptions{Workers: m.cfg.GateWorkers}
+	geOpts := core.GEOptions{}
 	servedGE, err := core.GE1With(served, test, geOpts)
 	if err != nil {
 		return
@@ -348,14 +277,17 @@ func (m *Manager) maybeAutoRollback(ctx context.Context, name string, tr alert.T
 
 	// Every candidate is re-scored on *today's* holdout: the GE a
 	// version was promoted with reflects the reservoir of its era and
-	// would bias the choice toward old data.
-	sort.Ints(versions)
+	// would bias the choice toward old data. Candidates are the
+	// retained versions with a GE annotation, ascending, so ties go to
+	// the oldest.
+	versions, _ := m.store.Versions(name)
 	bestVersion, bestGE := 0, math.Inf(1)
-	for _, v := range versions {
-		if v == servedVersion {
+	for _, info := range versions {
+		v := info.Version
+		if info.GE == nil || v == servedVersion {
 			continue
 		}
-		rules, ok := rb.GetVersion(name, v)
+		rules, ok := m.store.GetVersion(name, v)
 		if !ok || rules.Width() != served.Width() {
 			continue
 		}
@@ -376,7 +308,7 @@ func (m *Manager) maybeAutoRollback(ctx context.Context, name string, tr alert.T
 		return
 	}
 
-	_, newVersion, err := rb.Rollback(ctx, name, bestVersion)
+	_, newVersion, err := m.store.Rollback(ctx, name, bestVersion)
 	if err != nil {
 		outcome = "error"
 		m.cfg.Logger.Warn("auto-rollback failed", "model", name,
@@ -391,12 +323,10 @@ func (m *Manager) maybeAutoRollback(ctx context.Context, name string, tr alert.T
 	st.autoRollbacks++
 	st.lastRollback = now
 	st.lastVersion = newVersion
-	st.versionGE[newVersion] = bestGE
 	st.appendGE(GESample{T: now, ServedGE: bestGE, Version: newVersion, Source: "rollback"},
 		m.cfg.GEHistorySize)
 	st.mu.Unlock()
-	m.pruneVersionGE(st)
-	m.annotateVersionGE(name, newVersion, bestGE)
+	m.store.SetVersionGE(name, newVersion, bestGE)
 	m.cfg.Logger.Warn("auto-rollback restored prior version",
 		"model", name, "rule", tr.Rule.Name,
 		"from_version", servedVersion, "restored", bestVersion, "new_version", newVersion,

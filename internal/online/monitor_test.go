@@ -5,59 +5,16 @@ import (
 	"encoding/json"
 	"errors"
 	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
 	"ratiorules/internal/core"
 	"ratiorules/internal/obs"
 	"ratiorules/internal/obs/alert"
+	"ratiorules/internal/store"
 )
-
-// versionedStore extends fakeStore with the RollbackStore capability:
-// the newest retain versions are kept (every version when retain is 0),
-// and Rollback re-publishes an old version as the new head — the same
-// shape as server.Registry over the WAL store.
-type versionedStore struct {
-	fakeStore
-	history map[string][]*core.Rules // index = version-1
-	retain  int
-}
-
-func newVersionedStore() *versionedStore {
-	return &versionedStore{
-		fakeStore: fakeStore{models: make(map[string]*core.Rules), version: make(map[string]int)},
-		history:   make(map[string][]*core.Rules),
-	}
-}
-
-func (v *versionedStore) Put(ctx context.Context, name string, rules *core.Rules) (int, error) {
-	version, err := v.fakeStore.Put(ctx, name, rules)
-	if err == nil {
-		v.mu.Lock()
-		v.history[name] = append(v.history[name], rules)
-		v.mu.Unlock()
-	}
-	return version, err
-}
-
-func (v *versionedStore) GetVersion(name string, version int) (*core.Rules, bool) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	h := v.history[name]
-	if version < 1 || version > len(h) || (v.retain > 0 && version <= len(h)-v.retain) {
-		return nil, false
-	}
-	return h[version-1], true
-}
-
-func (v *versionedStore) Rollback(ctx context.Context, name string, version int) (*core.Rules, int, error) {
-	rules, ok := v.GetVersion(name, version)
-	if !ok {
-		return nil, 0, errors.New("no such version")
-	}
-	newVersion, err := v.Put(ctx, name, rules)
-	return rules, newVersion, err
-}
 
 // evalGEOK is EvalGE with the error fataled.
 func evalGEOK(t *testing.T, m *Manager, name string) GESample {
@@ -90,7 +47,7 @@ func quickEngine(t *testing.T, reg *obs.Registry) *alert.Engine {
 // comparison and must append a sample; the first (first_publish) has no
 // baseline and must not.
 func TestGateDecisionsFeedGESeries(t *testing.T) {
-	fs := newFakeStore()
+	fs := newTestStore()
 	m := testManager(t, fs, Config{RepublishRows: 1 << 30})
 	st, err := m.Stream("m", 0, false)
 	if err != nil {
@@ -118,8 +75,8 @@ func TestGateDecisionsFeedGESeries(t *testing.T) {
 	st.mu.Lock()
 	history := append([]GESample(nil), st.geHistory...)
 	outcomes := append([]bool(nil), st.outcomes...)
-	ge, hasGE := st.versionGE[res.Version]
 	st.mu.Unlock()
+	ge, hasGE := fs.VersionGE("m", res.Version)
 	if len(history) != 1 {
 		t.Fatalf("GE history = %d samples, want 1", len(history))
 	}
@@ -132,7 +89,7 @@ func TestGateDecisionsFeedGESeries(t *testing.T) {
 		t.Fatalf("outcomes = %v, want [true]", outcomes)
 	}
 	if !hasGE || ge != res.CandidateGE {
-		t.Fatalf("versionGE[%d] = %v/%v, want %v", res.Version, ge, hasGE, res.CandidateGE)
+		t.Fatalf("store GE of version %d = %v/%v, want %v", res.Version, ge, hasGE, res.CandidateGE)
 	}
 }
 
@@ -140,7 +97,7 @@ func TestGateDecisionsFeedGESeries(t *testing.T) {
 // reservoir, records an "eval" sample, and surfaces the no-op cases as
 // typed errors.
 func TestEvalGE(t *testing.T) {
-	fs := newFakeStore()
+	fs := newTestStore()
 	reg := obs.NewRegistry()
 	m := testManager(t, fs, Config{RepublishRows: 1 << 30, Metrics: reg})
 
@@ -165,10 +122,10 @@ func TestEvalGE(t *testing.T) {
 		t.Fatalf("eval sample = %+v, want source=eval version=1 tiny GE", s)
 	}
 	st.mu.Lock()
-	n, ge := len(st.geHistory), st.versionGE[1]
+	n := len(st.geHistory)
 	st.mu.Unlock()
-	if n != 1 || ge != s.ServedGE {
-		t.Fatalf("history=%d versionGE[1]=%v, want 1 sample matching %v", n, ge, s.ServedGE)
+	if ge, _ := fs.VersionGE("m", 1); n != 1 || ge != s.ServedGE {
+		t.Fatalf("history=%d store GE of version 1=%v, want 1 sample matching %v", n, ge, s.ServedGE)
 	}
 	snap := reg.Snapshot()
 	if v := snap[obs.SampleKey("rr_online_ge_evals_total", map[string]string{"result": "ok"})]; v != 1 {
@@ -179,7 +136,7 @@ func TestEvalGE(t *testing.T) {
 // TestGEHistoryRingBounded: the sample ring must stay capped at
 // GEHistorySize, keeping the newest samples.
 func TestGEHistoryRingBounded(t *testing.T) {
-	fs := newFakeStore()
+	fs := newTestStore()
 	m := testManager(t, fs, Config{RepublishRows: 1 << 30, GEHistorySize: 5})
 	st, err := m.Stream("m", 0, false)
 	if err != nil {
@@ -209,7 +166,7 @@ func TestGEHistoryRingBounded(t *testing.T) {
 // stays served) must walk the served-GE series up and fire the
 // regression rule, visible in engine state and rr_alert_firing.
 func TestRegressionAlertFiresOnDrift(t *testing.T) {
-	fs := newFakeStore()
+	fs := newTestStore()
 	reg := obs.NewRegistry()
 	eng := quickEngine(t, reg)
 	m := testManager(t, fs, Config{
@@ -275,7 +232,7 @@ func TestRegressionAlertFiresOnDrift(t *testing.T) {
 // policy rolls the head back to v1's rules because they beat v2 on the
 // current holdout.
 func TestAutoRollbackRestoresBestVersion(t *testing.T) {
-	vs := newVersionedStore()
+	vs := newTestStore()
 	reg := obs.NewRegistry()
 	m := testManager(t, vs, Config{
 		RepublishRows:    1 << 30,
@@ -344,7 +301,7 @@ func TestAutoRollbackRestoresBestVersion(t *testing.T) {
 // TestAutoRollbackFlapGate: inside the cooldown a second firing
 // transition must not roll back again.
 func TestAutoRollbackFlapGate(t *testing.T) {
-	vs := newVersionedStore()
+	vs := newTestStore()
 	reg := obs.NewRegistry()
 	// Recent window of 1 re-fires on every breaching sample once the
 	// alert resolves; the engine's own cooldown is zero so only the
@@ -401,14 +358,21 @@ func TestAutoRollbackFlapGate(t *testing.T) {
 
 // TestCheckpointResumeGEHistory: kill/restart must preserve the GE
 // ring, gate outcomes, version annotations and rollback counters so
-// trend detection does not restart blind.
+// trend detection does not restart blind. The store is durable and is
+// reopened too, so the annotations it shows after the restart are the
+// ones the checkpoint re-attached.
 func TestCheckpointResumeGEHistory(t *testing.T) {
 	dir := t.TempDir()
-	fs := newFakeStore()
-	m := testManager(t, fs, Config{
-		RepublishRows: 1 << 30,
-		CheckpointDir: dir,
-	})
+	openStore := func() testStore {
+		st, err := store.Open(filepath.Join(dir, "store"), store.WithObs(obs.NewRegistry()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testStore{st}
+	}
+	cfg := Config{RepublishRows: 1 << 30, CheckpointDir: filepath.Join(dir, "online")}
+	fs := openStore()
+	m := testManager(t, fs, cfg)
 	st, err := m.Stream("m", 0, false)
 	if err != nil {
 		t.Fatal(err)
@@ -432,11 +396,23 @@ func TestCheckpointResumeGEHistory(t *testing.T) {
 	if len(wantHistory) != 4 { // 1 gate sample + 3 evals
 		t.Fatalf("precondition: history = %d, want 4", len(wantHistory))
 	}
+	wantGE := fs.annotatedGE("m")
+	if _, ok := wantGE[2]; !ok {
+		t.Fatalf("precondition: version 2 has no GE annotation: %v", wantGE)
+	}
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
+	if err := fs.Close(); err != nil {
+		t.Fatal(err)
+	}
 
-	m2 := testManager(t, fs, Config{RepublishRows: 1 << 30, CheckpointDir: dir})
+	fs2 := openStore()
+	t.Cleanup(func() { fs2.Close() })
+	if got := fs2.annotatedGE("m"); len(got) != 0 {
+		t.Fatalf("reopened store journaled GE annotations %v", got)
+	}
+	m2 := testManager(t, fs2, cfg)
 	st2 := m2.lookup("m")
 	if st2 == nil {
 		t.Fatal("stream not resumed")
@@ -459,15 +435,15 @@ func TestCheckpointResumeGEHistory(t *testing.T) {
 	if st2.geEps != wantEps {
 		t.Fatalf("resumed eps = %v, want %v", st2.geEps, wantEps)
 	}
-	if _, ok := st2.versionGE[2]; !ok {
-		t.Fatalf("versionGE not resumed: %v", st2.versionGE)
+	if got := fs2.annotatedGE("m"); !reflect.DeepEqual(got, wantGE) {
+		t.Fatalf("resumed GE annotations = %v, want %v", got, wantGE)
 	}
 }
 
 // TestGEEvalTick: Start with GEEvalEvery must produce eval samples
 // without any manual EvalGE calls.
 func TestGEEvalTick(t *testing.T) {
-	fs := newFakeStore()
+	fs := newTestStore()
 	m := testManager(t, fs, Config{
 		RepublishRows: 1 << 30,
 		GEEvalEvery:   5 * time.Millisecond,
@@ -496,16 +472,15 @@ func TestGEEvalTick(t *testing.T) {
 	}
 }
 
-// TestVersionGEBoundedByRetention: the per-version GE record, and the
-// checkpoint that encodes it, hold only the versions the store still
-// retains however many promotions pass — and auto-rollback still
-// restores a retained version better than the bad head. With unbounded
-// retention every record stays, as before.
+// TestVersionGEBoundedByRetention: the per-version GE record is the
+// store's annotation, so it, and the checkpoint that copies it, hold
+// only the versions the store still retains however many promotions
+// pass — and auto-rollback still restores a retained version better
+// than the bad head. With unbounded retention every record stays.
 func TestVersionGEBoundedByRetention(t *testing.T) {
 	const retain, promotions = 32, 4 * 32
 	for _, keep := range []int{retain, 0} {
-		vs := newVersionedStore()
-		vs.retain = keep
+		vs := newTestStore(store.WithMaxVersions(keep))
 		dir := t.TempDir()
 		m := testManager(t, vs, Config{
 			RepublishRows:    1 << 30,
@@ -521,20 +496,16 @@ func TestVersionGEBoundedByRetention(t *testing.T) {
 			t.Fatal(err)
 		}
 		pushN(t, st, 400, cleanRow)
+		published := make(map[int]*core.Rules)
 		for i := 0; i < promotions; i++ {
 			pushN(t, st, 4, cleanRow)
-			if res, err := m.Republish(context.Background(), "m"); err != nil || !res.Promoted {
+			res, err := m.Republish(context.Background(), "m")
+			if err != nil || !res.Promoted {
 				t.Fatalf("promotion %d: %+v, %v", i, res, err)
 			}
+			published[res.Version], _ = vs.GetVersion("m", res.Version)
 		}
-		st.mu.Lock()
-		recorded := len(st.versionGE)
-		for v := range st.versionGE {
-			if _, ok := vs.GetVersion("m", v); !ok {
-				t.Errorf("retain %d: GE record kept for evicted version %d", keep, v)
-			}
-		}
-		st.mu.Unlock()
+		recorded := len(vs.annotatedGE("m"))
 		doc, err := os.ReadFile(checkpointPath(dir, "m"))
 		if err != nil {
 			t.Fatal(err)
@@ -570,23 +541,18 @@ func TestVersionGEBoundedByRetention(t *testing.T) {
 			t.Fatalf("head after rollback = %d, want %d", head, bad+1)
 		}
 		from := 0
-		vs.mu.Lock()
 		for v := bad - 1; v > bad-retain; v-- { // retained when the rollback ran
-			if vs.history["m"][v-1] == restored {
+			if published[v] == restored {
 				from = v
 			}
 		}
-		vs.mu.Unlock()
 		if from == 0 {
 			t.Fatalf("rollback did not restore a retained version older than the bad head %d", bad)
 		}
 		if ge := evalGEOK(t, m, "m").ServedGE; ge >= badGE {
 			t.Fatalf("restored version %d has GE %g, the bad head %g", from, ge, badGE)
 		}
-		st.mu.Lock()
-		recorded = len(st.versionGE)
-		st.mu.Unlock()
-		if recorded > retain {
+		if recorded = len(vs.annotatedGE("m")); recorded > retain {
 			t.Fatalf("%d GE records after rollback, want at most %d", recorded, retain)
 		}
 	}

@@ -45,14 +45,24 @@ import (
 	"ratiorules/internal/obs"
 	"ratiorules/internal/obs/alert"
 	"ratiorules/internal/obs/trace"
+	"ratiorules/internal/store"
 )
 
-// ModelStore is where promoted models go — satisfied by server.Registry,
-// so promotions flow through the same versioned, journaled PutContext
-// path as every other mutation (ETags advance, rollback applies).
+// ModelStore is the manager's one seam into the versioned model store —
+// satisfied by server.Registry, so promotions flow through the same
+// versioned, journaled PutContext path as every other mutation (ETags
+// advance, rollback applies). Auto-rollback reads retained versions
+// through GetVersion and restores one through Rollback. The store's
+// per-version GE annotation (SetVersionGE, read back through Versions)
+// is the monitor's only per-version quality record: it is bounded by
+// the store's retention and checkpointed with the stream.
 type ModelStore interface {
 	Put(ctx context.Context, name string, rules *core.Rules) (int, error)
 	GetWithVersion(name string) (*core.Rules, int, bool)
+	GetVersion(name string, version int) (*core.Rules, bool)
+	Rollback(ctx context.Context, name string, version int) (*core.Rules, int, error)
+	Versions(name string) ([]store.VersionInfo, bool)
+	SetVersionGE(name string, version int, ge float64)
 }
 
 // Sentinel errors mapped to HTTP envelope codes by internal/server.
@@ -134,9 +144,6 @@ type Config struct {
 	// RollbackCooldown spaces auto-rollbacks of one stream; <= 0
 	// selects DefaultRollbackCooldown.
 	RollbackCooldown time.Duration
-	// GateWorkers caps the row-parallelism of holdout GE evaluations
-	// (the dominant republish cost); <= 0 selects GOMAXPROCS.
-	GateWorkers int
 }
 
 // withDefaults normalizes the zero values.
@@ -335,11 +342,10 @@ func (m *Manager) Stream(name string, decay float64, explicitDecay bool) (*Strea
 // newStream builds an empty stream; callers hold m.mu.
 func (m *Manager) newStream(name string, decay float64) *Stream {
 	return &Stream{
-		mgr:       m,
-		name:      name,
-		decay:     decay,
-		rng:       rand.New(rand.NewSource(streamSeed(m.cfg.Seed, name))),
-		versionGE: make(map[int]float64),
+		mgr:   m,
+		name:  name,
+		decay: decay,
+		rng:   rand.New(rand.NewSource(streamSeed(m.cfg.Seed, name))),
 	}
 }
 
@@ -428,11 +434,10 @@ type Stream struct {
 	lastServedGE float64
 
 	// Quality monitoring (monitor.go): the bounded served-GE series,
-	// trailing gate outcomes, per-version GE annotations for the
-	// auto-rollback candidate search, and the rollback flap gate.
+	// trailing gate outcomes, and the rollback flap gate. Per-version
+	// GE lives in the store's annotations, not here.
 	geHistory     []GESample
 	outcomes      []bool
-	versionGE     map[int]float64
 	geEps         float64 // noise floor for relative alert thresholds
 	autoRollbacks int
 	lastRollback  time.Time
@@ -707,11 +712,8 @@ func (m *Manager) republish(ctx context.Context, name string) (RepublishResult, 
 		st.sinceCkpt = 0
 	}
 	st.mu.Unlock()
-	if res.Promoted {
-		m.pruneVersionGE(st)
-	}
 	if res.Promoted && measured {
-		m.annotateVersionGE(name, res.Version, res.CandidateGE)
+		m.store.SetVersionGE(name, res.Version, res.CandidateGE)
 	}
 	if measured {
 		m.runAlerts(ctx, name)
@@ -750,12 +752,11 @@ func (m *Manager) geGate(ctx context.Context, name string, candidate *core.Rules
 	if err != nil {
 		return RepublishResult{}, fmt.Errorf("online: building holdout for %q: %w", name, err)
 	}
-	geOpts := core.GEOptions{Workers: m.cfg.GateWorkers}
-	candGE, err := core.GE1With(candidate, test, geOpts)
+	candGE, err := core.GE1With(candidate, test, core.GEOptions{})
 	if err != nil {
 		return RepublishResult{}, fmt.Errorf("online: candidate GE for %q: %w", name, err)
 	}
-	servedGE, err := core.GE1With(served, test, geOpts)
+	servedGE, err := core.GE1With(served, test, core.GEOptions{})
 	if err != nil {
 		return RepublishResult{}, fmt.Errorf("online: served GE for %q: %w", name, err)
 	}

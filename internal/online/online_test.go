@@ -11,44 +11,44 @@ import (
 
 	"ratiorules/internal/core"
 	"ratiorules/internal/obs"
+	"ratiorules/internal/store"
 )
 
-// fakeStore is an in-memory ModelStore recording every promotion.
-type fakeStore struct {
-	mu      sync.Mutex
-	models  map[string]*core.Rules
-	version map[string]int
-	puts    int
-	failPut error
+// testStore adapts a memory store.Store to ModelStore, so the tests
+// publish, roll back and annotate through the shipped store.
+type testStore struct{ *store.Store }
+
+// newTestStore opens a memory store with its own metrics registry;
+// opts add to (and may override) that.
+func newTestStore(opts ...store.Option) testStore {
+	return testStore{store.OpenMemory(append([]store.Option{store.WithObs(obs.NewRegistry())}, opts...)...)}
 }
 
-func newFakeStore() *fakeStore {
-	return &fakeStore{models: make(map[string]*core.Rules), version: make(map[string]int)}
+func (s testStore) Put(ctx context.Context, name string, rules *core.Rules) (int, error) {
+	return s.PutContext(ctx, name, rules)
 }
 
-func (f *fakeStore) Put(_ context.Context, name string, rules *core.Rules) (int, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.failPut != nil {
-		return 0, f.failPut
+func (s testStore) GetWithVersion(name string) (*core.Rules, int, bool) { return s.Get(name) }
+
+func (s testStore) Rollback(ctx context.Context, name string, version int) (*core.Rules, int, error) {
+	return s.RollbackContext(ctx, name, version)
+}
+
+func (s testStore) headVersion(name string) int {
+	_, v, _ := s.Get(name)
+	return v
+}
+
+// annotatedGE collects the store's GE annotations of a model by version.
+func (s testStore) annotatedGE(name string) map[int]float64 {
+	out := make(map[int]float64)
+	infos, _ := s.Versions(name)
+	for _, info := range infos {
+		if info.GE != nil {
+			out[info.Version] = *info.GE
+		}
 	}
-	f.puts++
-	f.version[name]++
-	f.models[name] = rules
-	return f.version[name], nil
-}
-
-func (f *fakeStore) GetWithVersion(name string) (*core.Rules, int, bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	r, ok := f.models[name]
-	return r, f.version[name], ok
-}
-
-func (f *fakeStore) headVersion(name string) int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.version[name]
+	return out
 }
 
 // cleanRow is the paper's ratio regime: amount:2·amount, so a model
@@ -91,7 +91,7 @@ func pushN(t *testing.T, st *Stream, n int, row func(int) []float64) {
 // republishes synchronously and the first candidate publishes version 1
 // (no baseline to gate against).
 func TestRowTriggerFirstPublish(t *testing.T) {
-	fs := newFakeStore()
+	fs := newTestStore()
 	m := testManager(t, fs, Config{RepublishRows: 24})
 	st, err := m.Stream("m", 0, false)
 	if err != nil {
@@ -120,7 +120,7 @@ func TestRowTriggerFirstPublish(t *testing.T) {
 // reservoir still remembers the long clean history, so candidate GE1
 // regresses and the gate must keep the served version.
 func TestGEGateRejectsHijackedStream(t *testing.T) {
-	fs := newFakeStore()
+	fs := newTestStore()
 	m := testManager(t, fs, Config{RepublishRows: 1 << 30, ReservoirSize: 512})
 	st, err := m.Stream("m", 0.5, true)
 	if err != nil {
@@ -175,7 +175,7 @@ func TestGEGateRejectsHijackedStream(t *testing.T) {
 // TestDecayConflict: an explicit decay that contradicts the running
 // stream is refused; omitting the decay joins it.
 func TestDecayConflict(t *testing.T) {
-	m := testManager(t, newFakeStore(), Config{})
+	m := testManager(t, newTestStore(), Config{})
 	if _, err := m.Stream("m", 0.25, true); err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestDecayConflict(t *testing.T) {
 // TestPushRejectsBadRows: width changes mid-stream fail per-row without
 // disturbing the accumulated state.
 func TestPushRejectsBadRows(t *testing.T) {
-	m := testManager(t, newFakeStore(), Config{})
+	m := testManager(t, newTestStore(), Config{})
 	st, _ := m.Stream("m", 0, false)
 	pushN(t, st, 3, cleanRow)
 	if _, err := st.Push(context.Background(), []float64{1, 2, 3}); !errors.Is(err, core.ErrWidth) {
@@ -212,7 +212,7 @@ func TestPushRejectsBadRows(t *testing.T) {
 // TestReservoirCapAndUniformity: the reservoir never exceeds its
 // capacity and keeps sampling after it fills.
 func TestReservoirCapAndUniformity(t *testing.T) {
-	m := testManager(t, newFakeStore(), Config{RepublishRows: 1 << 30, ReservoirSize: 16, Seed: 7})
+	m := testManager(t, newTestStore(), Config{RepublishRows: 1 << 30, ReservoirSize: 16, Seed: 7})
 	st, _ := m.Stream("m", 0, false)
 	pushN(t, st, 500, cleanRow)
 	status, _ := m.Status("m")
@@ -230,7 +230,7 @@ func TestReservoirCapAndUniformity(t *testing.T) {
 // TestIntervalRepublish: with Start and an interval trigger, ingested
 // rows publish without ever crossing the row threshold.
 func TestIntervalRepublish(t *testing.T) {
-	fs := newFakeStore()
+	fs := newTestStore()
 	m := testManager(t, fs, Config{RepublishRows: 1 << 30, RepublishEvery: 5 * time.Millisecond})
 	m.Start()
 	st, _ := m.Stream("m", 0, false)
@@ -246,7 +246,7 @@ func TestIntervalRepublish(t *testing.T) {
 
 // TestRepublishNoStream and too-few-rows behavior.
 func TestRepublishEdgeCases(t *testing.T) {
-	m := testManager(t, newFakeStore(), Config{})
+	m := testManager(t, newTestStore(), Config{})
 	if _, err := m.Republish(context.Background(), "ghost"); !errors.Is(err, ErrNoStream) {
 		t.Fatalf("ghost republish: err = %v, want ErrNoStream", err)
 	}
@@ -260,7 +260,7 @@ func TestRepublishEdgeCases(t *testing.T) {
 // TestDrop removes the stream and its checkpoint file.
 func TestDrop(t *testing.T) {
 	dir := t.TempDir()
-	m := testManager(t, newFakeStore(), Config{CheckpointDir: dir, RepublishRows: 1 << 30})
+	m := testManager(t, newTestStore(), Config{CheckpointDir: dir, RepublishRows: 1 << 30})
 	st, _ := m.Stream("m", 0, false)
 	pushN(t, st, 10, cleanRow)
 	if err := m.CheckpointAll(); err != nil {
@@ -289,7 +289,7 @@ func TestDrop(t *testing.T) {
 // identical counters and mines successfully from the restored sums.
 func TestCheckpointResume(t *testing.T) {
 	dir := t.TempDir()
-	fs := newFakeStore()
+	fs := newTestStore()
 	cfg := Config{CheckpointDir: dir, RepublishRows: 40, Seed: 3, Metrics: obs.NewRegistry()}
 	m1, err := NewManager(fs, cfg)
 	if err != nil {
@@ -344,7 +344,7 @@ func TestCheckpointResume(t *testing.T) {
 func TestCorruptCheckpointSkipped(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{CheckpointDir: dir, Metrics: obs.NewRegistry()}
-	m1, err := NewManager(newFakeStore(), cfg)
+	m1, err := NewManager(newTestStore(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +358,7 @@ func TestCorruptCheckpointSkipped(t *testing.T) {
 	}
 
 	cfg.Metrics = obs.NewRegistry()
-	m2, err := NewManager(newFakeStore(), cfg)
+	m2, err := NewManager(newTestStore(), cfg)
 	if err != nil {
 		t.Fatalf("corrupt sidecar broke startup: %v", err)
 	}
@@ -371,8 +371,10 @@ func TestCorruptCheckpointSkipped(t *testing.T) {
 // TestFailedPutSurfacesError: a store failure during promotion is an
 // error, and the stream's promotion counter does not advance.
 func TestFailedPutSurfacesError(t *testing.T) {
-	fs := newFakeStore()
-	fs.failPut = errors.New("disk full")
+	fs := newTestStore()
+	if err := fs.Close(); err != nil { // a closed store refuses every Put
+		t.Fatal(err)
+	}
 	m := testManager(t, fs, Config{RepublishRows: 1 << 30})
 	st, _ := m.Stream("m", 0, false)
 	pushN(t, st, 10, cleanRow)
@@ -389,7 +391,7 @@ func TestFailedPutSurfacesError(t *testing.T) {
 // row trigger live — the mutex-guarded accumulator and synchronous
 // republish path must stay consistent (run under -race).
 func TestConcurrentIngest(t *testing.T) {
-	fs := newFakeStore()
+	fs := newTestStore()
 	m := testManager(t, fs, Config{RepublishRows: 50, ReservoirSize: 64})
 	st, _ := m.Stream("m", 0, false)
 	var wg sync.WaitGroup

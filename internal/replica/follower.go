@@ -32,7 +32,6 @@ type Options struct {
 	// follower's OWN store (its own dir or memory) — never the leader's.
 	Store *store.Store
 
-	Client   *http.Client  // default: a fresh client with no timeout
 	Logger   *slog.Logger  // default slog.Default()
 	Registry *obs.Registry // rr_replica_* metrics; nil skips registration
 	// Tracer records a replica.apply span per applied event whose
@@ -110,16 +109,13 @@ func New(opts Options) (*Follower, error) {
 	f := &Follower{
 		leader:       opts.Leader,
 		st:           opts.Store,
-		client:       opts.Client,
+		client:       &http.Client{}, // deliberately no Timeout: the stream is long-lived
 		logger:       opts.Logger,
 		minBackoff:   opts.MinBackoff,
 		maxBackoff:   opts.MaxBackoff,
 		stallTimeout: opts.StallTimeout,
 		tracer:       opts.Tracer,
 		start:        time.Now(),
-	}
-	if f.client == nil {
-		f.client = &http.Client{} // deliberately no Timeout: the stream is long-lived
 	}
 	if f.logger == nil {
 		f.logger = slog.Default()

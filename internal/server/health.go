@@ -18,13 +18,8 @@ import (
 	"ratiorules/internal/replica"
 )
 
-// The online manager's optional store capabilities must keep being
-// satisfied by the registry: auto-rollback and version GE annotations
-// silently disable otherwise.
-var (
-	_ online.RollbackStore = (*Registry)(nil)
-	_ online.GEAnnotator   = (*Registry)(nil)
-)
+// The registry is the online manager's model store.
+var _ online.ModelStore = (*Registry)(nil)
 
 // healthz answers liveness probes: the process is up and serving. No
 // dependency state — a wedged store or a firing alert must not make an

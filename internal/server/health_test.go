@@ -6,12 +6,19 @@ package server
 // walk in contract_test.go; these tests pin the bodies.
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
+	"reflect"
 	"testing"
+	"time"
 
+	"ratiorules/internal/obs"
+	"ratiorules/internal/obs/alert"
 	"ratiorules/internal/online"
 	"ratiorules/internal/store"
 )
@@ -126,5 +133,149 @@ func TestDebugAlertsShape(t *testing.T) {
 	}
 	if out.States == nil {
 		t.Fatalf("states must serialize as [], not null: %s", body)
+	}
+}
+
+// TestVersionGESurvivesRestart: the online monitor's per-version GE
+// annotations live on the store's revisions and are checkpointed with
+// the stream, so after a restart over the same data directory the
+// versions listing and the health endpoint still show the GE of
+// versions measured before it, and auto-rollback can still restore one
+// of them.
+func TestVersionGESurvivesRestart(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+	type node struct {
+		st  *store.Store
+		reg *Registry
+		mgr *online.Manager
+		ts  *httptest.Server
+	}
+	boot := func() *node {
+		st, err := store.Open(filepath.Join(dir, "store"), store.WithObs(obs.NewRegistry()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := NewRegistryWithStore(st)
+		metrics := obs.NewRegistry()
+		eng, err := alert.NewEngine(alert.Config{
+			Rules:   []alert.Rule{{Name: "ge_regression", Kind: alert.KindRegression, Ratio: 2, Baseline: 3, Recent: 2}},
+			Metrics: metrics,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mgr, err := online.NewManager(reg, online.Config{
+			RepublishRows:    1 << 30,
+			ReservoirSize:    512,
+			GESlack:          1e12, // force-promote the drift burst below
+			CheckpointDir:    filepath.Join(dir, "online"),
+			Metrics:          metrics,
+			Alerts:           eng,
+			AutoRollback:     true,
+			RollbackCooldown: time.Nanosecond,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &node{st: st, reg: reg, mgr: mgr, ts: httptest.NewServer(Handler(reg, WithOnline(mgr)))}
+	}
+	shutdown := func(n *node) {
+		n.ts.Close()
+		if err := n.mgr.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := n.st.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	push := func(n *node, rows int, slope float64) {
+		st, err := n.mgr.Stream("m", 0.9, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < rows; i++ {
+			x := 1 + float64(i%17)/4
+			if _, err := st.Push(ctx, []float64{x, slope * x}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	republish := func(n *node, want string) online.RepublishResult {
+		res, err := n.mgr.Republish(ctx, "m")
+		if err != nil || !res.Promoted || res.Reason != want {
+			t.Fatalf("republish: %+v, %v; want promoted %s", res, err, want)
+		}
+		return res
+	}
+	annotatedGE := func(n *node) map[int]float64 {
+		var body struct {
+			Versions []struct {
+				Version int      `json:"version"`
+				GE      *float64 `json:"ge"`
+			} `json:"versions"`
+		}
+		if code := doJSON(t, "GET", n.ts.URL+"/v1/rules/m/versions", nil, &body); code != http.StatusOK {
+			t.Fatalf("GET versions: status %d", code)
+		}
+		out := make(map[int]float64)
+		for _, v := range body.Versions {
+			if v.GE != nil {
+				out[v.Version] = *v.GE
+			}
+		}
+		return out
+	}
+
+	n := boot()
+	push(n, 400, 2)
+	republish(n, "first_publish") // v1: no baseline, so no GE
+	push(n, 50, 2)
+	republish(n, "ge_ok") // v2
+	push(n, 50, 2)
+	republish(n, "ge_ok") // v3
+	if _, err := n.mgr.EvalGE(ctx, "m"); err != nil {
+		t.Fatal(err)
+	}
+	before := annotatedGE(n)
+	if _, ok2 := before[2]; !ok2 || len(before) != 2 {
+		t.Fatalf("GE before restart = %v, want versions 2 and 3", before)
+	}
+	shutdown(n)
+
+	n = boot()
+	defer shutdown(n)
+	if after := annotatedGE(n); !reflect.DeepEqual(after, before) {
+		t.Fatalf("GE after restart = %v, want %v", after, before)
+	}
+	var health struct {
+		VersionGE *float64 `json:"version_ge"`
+	}
+	if code := doJSON(t, "GET", n.ts.URL+"/v1/rules/m/health?version=2", nil, &health); code != http.StatusOK ||
+		health.VersionGE == nil || *health.VersionGE != before[2] {
+		t.Fatalf("health?version=2 after restart: status %d, version_ge %v, want %v", code, health.VersionGE, before[2])
+	}
+
+	// A drift burst is force-promoted as v4; its gate sample fires the
+	// regression rule, and the only versions auto-rollback can pick are
+	// the ones scored before the restart.
+	push(n, 100, -2)
+	republish(n, "ge_ok")
+	if _, err := n.mgr.EvalGE(ctx, "m"); err != nil {
+		t.Fatal(err)
+	}
+	h, _ := n.mgr.Health("m")
+	if h.AutoRollbacks != 1 {
+		t.Fatalf("auto-rollbacks after drift = %d, want 1", h.AutoRollbacks)
+	}
+	headRaw, head, _ := n.reg.GetRaw("m")
+	restored := 0
+	for v := range before {
+		if raw, ok := n.reg.GetVersionRaw("m", v); ok && bytes.Equal(raw, headRaw) {
+			restored = v
+		}
+	}
+	if head != 5 || restored == 0 {
+		t.Fatalf("head v%d restores version %d, want v5 restoring a version scored before the restart", head, restored)
 	}
 }

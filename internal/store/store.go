@@ -124,9 +124,11 @@ type rev struct {
 	rules   *core.Rules
 	raw     []byte
 	// ge is an advisory quality annotation (GE₁ measured by the online
-	// monitor), in-memory only: it describes a measurement against a
-	// transient holdout, not durable model state, so it is never
-	// journaled and vanishes on restart like the holdout itself.
+	// monitor). The store never journals it: it describes a measurement
+	// against the monitor's holdout, not model state. The online
+	// manager copies annotations into its stream checkpoint and
+	// re-attaches them when it reloads, so they survive a restart
+	// wherever the stream does.
 	ge    float64
 	hasGE bool
 }
