@@ -143,13 +143,16 @@ verify-admission:
 # persistence gauntlet,
 # the HTTP API contract, the tracing layer, the live-ingest loop, the
 # model-quality alert path, the sharded cluster, follower replication,
-# the fleet observability layer and admission control. (Lint is a
-# separate CI step — it may need the network to fetch staticcheck.)
+# the fleet observability layer and admission control. It also runs
+# BenchmarkRepublish once per width as a smoke test of the stage timers.
+# (Lint is a separate CI step — it may need the network to fetch
+# staticcheck.)
 verify: fmtcheck
 	$(GO) vet ./...
 	cd perfbench && $(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race ./...
+	$(GO) test -run '^$$' -bench '^BenchmarkRepublish$$' -benchtime 1x ./internal/online
 	$(MAKE) verify-store
 	$(MAKE) verify-api
 	$(MAKE) verify-trace
@@ -165,6 +168,7 @@ verify: fmtcheck
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzFillRow$$' -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz='^FuzzWhatIf$$' -fuzztime=$(FUZZTIME) ./internal/core
+	$(GO) test -run='^$$' -fuzz='^FuzzGE1LeaveOneOut$$' -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz='^FuzzWALDecode$$' -fuzztime=$(FUZZTIME) ./internal/store
 	$(GO) test -run='^$$' -fuzz='^FuzzLoadStreamMiner$$' -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz='^FuzzReadCSV$$' -fuzztime=$(FUZZTIME) ./internal/dataset

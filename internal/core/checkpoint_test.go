@@ -108,3 +108,47 @@ func TestLoadStreamMinerBadOptions(t *testing.T) {
 		t.Error("attr width mismatch at load must fail")
 	}
 }
+
+// Clone is the in-memory twin of a Save/LoadStreamMiner round trip: the
+// copy's checkpoint is byte-identical to the original's, and rows pushed
+// into either afterwards never reach the other.
+func TestStreamMinerCloneIsDeep(t *testing.T) {
+	rng := rand.New(rand.NewSource(111))
+	x := randomCorrelated(rng, 60, 5)
+	orig, err := NewStreamMiner(5, 0.01)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 40; i++ {
+		if err := orig.Push(x.RawRow(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	clone := orig.Clone()
+	checkpoint := func(s *StreamMiner) string {
+		var buf strings.Builder
+		if err := s.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	at40 := checkpoint(orig)
+	if got := checkpoint(clone); got != at40 {
+		t.Fatalf("clone checkpoint differs:\n%s\nvs\n%s", got, at40)
+	}
+	for i := 40; i < 60; i++ {
+		if err := orig.Push(x.RawRow(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := checkpoint(clone); got != at40 {
+		t.Fatal("pushes into the original reached the clone")
+	}
+	at60 := checkpoint(orig)
+	if err := clone.Push(x.RawRow(0)); err != nil {
+		t.Fatal(err)
+	}
+	if got := checkpoint(orig); got != at60 {
+		t.Fatal("pushes into the clone reached the original")
+	}
+}

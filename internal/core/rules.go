@@ -24,6 +24,7 @@ import (
 	"io"
 	"math"
 	"strings"
+	"sync"
 
 	"ratiorules/internal/matrix"
 )
@@ -73,6 +74,10 @@ type Rules struct {
 	// *Rules with an empty cache. The zero value is ready to use, so the
 	// rule constructors need no extra wiring.
 	plans planCache
+	// loo is the closed-form GE₁ data (gefast.go), built on first use
+	// under looOnce.
+	looOnce sync.Once
+	loo     leaveOneOut
 }
 
 // K reports the number of retained rules.

@@ -105,6 +105,17 @@ func (s *StreamMiner) Push(row []float64) error {
 	return nil
 }
 
+// Clone returns a deep copy of the miner's sufficient statistics that
+// shares only the (immutable) mining configuration, so the copy can be
+// re-mined while the original keeps taking rows. It costs one O(M²)
+// copy of the cross matrix.
+func (s *StreamMiner) Clone() *StreamMiner {
+	c := *s
+	c.sums = append([]float64(nil), s.sums...)
+	c.cross = s.cross.Clone()
+	return &c
+}
+
 // Count reports how many rows have been pushed (undecayed).
 func (s *StreamMiner) Count() int { return s.count }
 

@@ -56,7 +56,8 @@ func SymEig(a *matrix.Dense) (*System, error) {
 	if n == 0 {
 		return &System{Values: nil, Vectors: matrix.NewDense(0, 0)}, nil
 	}
-	// Work on a copy: tred2 runs in place.
+	// Work on a copy: tred2 runs in place, on the transpose of EISPACK's
+	// working matrix, which for a symmetric input is the input itself.
 	z := a.Clone()
 	d := make([]float64, n) // diagonal of the tridiagonal form
 	e := make([]float64, n) // sub-diagonal
@@ -88,7 +89,7 @@ func Jacobi(a *matrix.Dense) (*System, error) {
 			for i := 0; i < n; i++ {
 				d[i] = w.At(i, i)
 			}
-			return sortedSystem(d, v), nil
+			return sortedSystem(d, v.T()), nil
 		}
 		for p := 0; p < n-1; p++ {
 			for q := p + 1; q < n; q++ {
@@ -163,11 +164,12 @@ func jacobiRotate(w, v *matrix.Dense, p, q int) {
 	}
 }
 
-// sortedSystem bundles eigenvalues d and eigenvector columns of z into a
+// sortedSystem bundles eigenvalues d and the eigenvector rows of zt (row
+// j belongs to d[j], the layout tred2 and tql2 leave behind) into a
 // System sorted by descending eigenvalue, normalizing vector signs so the
 // component of largest magnitude is positive (a stable, presentation-
 // friendly convention for Ratio Rules).
-func sortedSystem(d []float64, z *matrix.Dense) *System {
+func sortedSystem(d []float64, zt *matrix.Dense) *System {
 	n := len(d)
 	idx := make([]int, n)
 	for i := range idx {
@@ -179,7 +181,7 @@ func sortedSystem(d []float64, z *matrix.Dense) *System {
 	vectors := matrix.NewDense(n, n)
 	for out, in := range idx {
 		values[out] = d[in]
-		col := z.Col(in)
+		col := zt.Row(in)
 		canonicalizeSign(col)
 		for i := 0; i < n; i++ {
 			vectors.Set(i, out, col[i])
@@ -207,17 +209,25 @@ func canonicalizeSign(v []float64) {
 	}
 }
 
-// tred2 reduces the symmetric matrix stored in z to tridiagonal form by
+// tred2 reduces the symmetric matrix stored in zt to tridiagonal form by
 // Householder similarity transformations, accumulating the transformation
-// in z. On return d holds the diagonal and e the sub-diagonal (e[0] = 0).
-// Translated from the EISPACK routine of the same name (0-indexed).
-func tred2(z *matrix.Dense, d, e []float64) {
+// in zt. On return d holds the diagonal and e the sub-diagonal (e[0] = 0).
+// Translated from the EISPACK routine of the same name (0-indexed), with
+// one change of layout: zt holds the transpose of EISPACK's z, so the
+// column walks of the original become walks along the rows of zt's
+// row-major backing slice, and row j of zt ends up holding the j-th
+// eigenvector. A symmetric input is its own transpose, so the caller
+// passes a plain copy of it. The arithmetic and its order are EISPACK's.
+func tred2(zt *matrix.Dense, d, e []float64) {
 	n := len(d)
+	z := zt.RawData()
+	row := func(j int) []float64 { return z[j*n : (j+1)*n] }
 	for i := 0; i < n; i++ {
-		d[i] = z.At(n-1, i)
+		d[i] = z[i*n+n-1]
 	}
 	for i := n - 1; i > 0; i-- {
 		l := i - 1
+		zi := row(i)
 		var h, scale float64
 		if l > 0 {
 			for k := 0; k <= l; k++ {
@@ -226,9 +236,10 @@ func tred2(z *matrix.Dense, d, e []float64) {
 			if scale == 0 {
 				e[i] = d[l]
 				for j := 0; j <= l; j++ {
-					d[j] = z.At(l, j)
-					z.Set(i, j, 0)
-					z.Set(j, i, 0)
+					zj := row(j)
+					d[j] = zj[l]
+					zj[i] = 0
+					zi[j] = 0
 				}
 			} else {
 				for k := 0; k <= l; k++ {
@@ -248,11 +259,12 @@ func tred2(z *matrix.Dense, d, e []float64) {
 				}
 				for j := 0; j <= l; j++ {
 					f = d[j]
-					z.Set(j, i, f)
-					g = e[j] + z.At(j, j)*f
+					zi[j] = f
+					zj := row(j)
+					g = e[j] + zj[j]*f
 					for k := j + 1; k <= l; k++ {
-						g += z.At(k, j) * d[k]
-						e[k] += z.At(k, j) * f
+						g += zj[k] * d[k]
+						e[k] += zj[k] * f
 					}
 					e[j] = g
 				}
@@ -268,61 +280,70 @@ func tred2(z *matrix.Dense, d, e []float64) {
 				for j := 0; j <= l; j++ {
 					f = d[j]
 					g = e[j]
+					zj := row(j)
 					for k := j; k <= l; k++ {
-						z.Set(k, j, z.At(k, j)-(f*e[k]+g*d[k]))
+						zj[k] -= f*e[k] + g*d[k]
 					}
-					d[j] = z.At(l, j)
-					z.Set(i, j, 0)
+					d[j] = zj[l]
+					zj[i] = 0
 				}
 			}
 		} else {
 			e[i] = d[l]
-			d[l] = z.At(l, l)
-			z.Set(i, l, 0)
-			z.Set(l, i, 0)
+			d[l] = z[l*n+l]
+			z[l*n+i] = 0
+			zi[l] = 0
 		}
 		d[i] = h
 	}
 	// Accumulate transformations.
 	for i := 0; i < n-1; i++ {
-		z.Set(n-1, i, z.At(i, i))
-		z.Set(i, i, 1)
+		zi := row(i)
+		zi[n-1] = zi[i]
+		zi[i] = 1
 		l := i + 1
+		zl := row(l)[:l]
 		if d[l] != 0 {
-			for k := 0; k < l; k++ {
-				d[k] = z.At(k, l) / d[l]
+			for k := range zl {
+				d[k] = zl[k] / d[l]
 			}
 			for j := 0; j < l; j++ {
+				zj := row(j)[:l]
 				var g float64
-				for k := 0; k < l; k++ {
-					g += z.At(k, l) * z.At(k, j)
+				for k, v := range zl {
+					g += v * zj[k]
 				}
-				for k := 0; k < l; k++ {
-					z.Set(k, j, z.At(k, j)-g*d[k])
+				for k := range zj {
+					zj[k] -= g * d[k]
 				}
 			}
 		}
-		for k := 0; k < l; k++ {
-			z.Set(k, l, 0)
+		for k := range zl {
+			zl[k] = 0
 		}
 	}
 	for i := 0; i < n; i++ {
-		d[i] = z.At(n-1, i)
-		z.Set(n-1, i, 0)
+		d[i] = z[i*n+n-1]
+		z[i*n+n-1] = 0
 	}
-	z.Set(n-1, n-1, 1)
+	z[n*n-1] = 1
 	e[0] = 0
 }
 
 // tql2 finds the eigenvalues and eigenvectors of the symmetric tridiagonal
 // matrix described by d (diagonal) and e (sub-diagonal, e[0] ignored) using
 // the QL method with implicit shifts, updating the transformation
-// accumulated in z. Translated from the EISPACK routine of the same name.
-func tql2(z *matrix.Dense, d, e []float64) error {
+// accumulated in zt. Translated from the EISPACK routine of the same name;
+// like tred2 it works on the transpose of EISPACK's z, so each Givens
+// rotation combines two contiguous rows of zt, and row j of zt holds the
+// eigenvector of d[j] on return.
+func tql2(zt *matrix.Dense, d, e []float64) error {
 	n := len(d)
 	if n == 1 {
 		return nil
 	}
+	z := zt.RawData()
+	w := zt.Cols()
 	for i := 1; i < n; i++ {
 		e[i-1] = e[i]
 	}
@@ -372,11 +393,11 @@ func tql2(z *matrix.Dense, d, e []float64) error {
 				p = s * r
 				d[i+1] = g + p
 				g = c*r - b
-				// Accumulate the rotation into the eigenvector matrix.
-				for k := 0; k < n; k++ {
-					f = z.At(k, i+1)
-					z.Set(k, i+1, s*z.At(k, i)+c*f)
-					z.Set(k, i, c*z.At(k, i)-s*f)
+				// Accumulate the rotation into the eigenvector rows.
+				zi, zi1 := z[i*w:(i+1)*w], z[(i+1)*w:(i+2)*w]
+				for k, v := range zi1 {
+					zi1[k] = s*zi[k] + c*v
+					zi[k] = c*zi[k] - s*v
 				}
 			}
 			if r == 0 && m-1 >= l {

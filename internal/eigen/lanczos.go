@@ -140,6 +140,8 @@ func solveTridiagonal(alphas, betas []float64) ([]float64, *matrix.Dense, error)
 	for i := 1; i < dim; i++ {
 		e[i] = betas[i-1]
 	}
+	// The identity is its own transpose, so it seeds tql2's row layout
+	// directly; the Ritz vectors come back as rows of z.
 	z := matrix.Identity(dim)
 	if err := tql2(z, d, e); err != nil {
 		return nil, nil, err

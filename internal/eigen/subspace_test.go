@@ -2,6 +2,7 @@ package eigen
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -185,6 +186,55 @@ func BenchmarkFullSolve200(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := SymEig(a); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// latentScatter is the centred scatter matrix of n rows drawn from a
+// rank-4 latent profile with 5% multiplicative noise (the rows the
+// online benchmarks ingest): four strong pairs above a flat noise bulk.
+func latentScatter(rng *rand.Rand, n, m int) *matrix.Dense {
+	load := make([]float64, m)
+	for j := range load {
+		load[j] = 0.5 + rng.Float64()
+	}
+	x := matrix.NewDense(n, m)
+	z := make([]float64, 4)
+	for i := 0; i < n; i++ {
+		for f := range z {
+			z[f] = 0.5 + 1.5*rng.Float64()
+		}
+		for j, row := 0, x.RawRow(i); j < m; j++ {
+			row[j] = 10 * load[j] * z[j%4] * (1 + 0.05*rng.NormFloat64())
+		}
+	}
+	c, _ := x.CenterColumns()
+	return matrix.MustMul(c.T(), c)
+}
+
+// BenchmarkLeadingPairs times the three ways the miner can obtain the
+// k = 8 leading eigenpairs of a covariance matrix (the full SymEig
+// solve, TopK subspace iteration, Lanczos) at M = 32, 128 and 512.
+func BenchmarkLeadingPairs(b *testing.B) {
+	const k = 8
+	solvers := []struct {
+		name string
+		fn   func(*matrix.Dense) (*System, error)
+	}{
+		{"SymEig", SymEig},
+		{"TopK", func(a *matrix.Dense) (*System, error) { return TopK(a, k) }},
+		{"Lanczos", func(a *matrix.Dense) (*System, error) { return Lanczos(a, k) }},
+	}
+	for _, m := range []int{32, 128, 512} {
+		a := latentScatter(rand.New(rand.NewSource(1)), 2048, m)
+		for _, s := range solvers {
+			b.Run(fmt.Sprintf("M=%d/%s", m, s.name), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, err := s.fn(a); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	}
 }

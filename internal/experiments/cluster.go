@@ -26,7 +26,7 @@ import (
 // exactness of the paper's single-pass design, Korn et al. §5).
 //
 // It also reports the GE-gate fast path's before/after: the serial
-// cell-at-a-time GE₁ vs. the plan-cached row-parallel GE1With the
+// cell-at-a-time GE₁ vs. the closed-form leave-one-out GE1With the
 // republish gate now uses, on the same gate-sized holdout.
 type ClusterResult struct {
 	Rows    int `json:"rows"`
@@ -222,7 +222,7 @@ func RunCluster(rows, width, workers int) (*ClusterResult, error) {
 	out.GE1RelDiff = math.Abs(out.ClusterGE1-out.SingleGE1) / denom
 
 	// GE-gate before/after on a gate-sized holdout: the serial
-	// cell-at-a-time GE1 every republish used to pay vs. the plan-cached
+	// cell-at-a-time GE1 every republish used to pay vs. the closed-form
 	// GE1With the gate runs now. Repeat until ~100ms of serial work so
 	// the ratio is stable.
 	reps := 1
@@ -267,7 +267,7 @@ func (r *ClusterResult) String() string {
 	fmt.Fprintf(&b, "%-36s %14.3g (exact shard merge)\n", "relative difference", r.GE1RelDiff)
 	fmt.Fprintf(&b, "\n%-36s %14s\n", "GE gate serial (before)",
 		time.Duration(float64(time.Second)*r.GateSerialSeconds).Round(time.Microsecond))
-	fmt.Fprintf(&b, "%-36s %14s\n", "GE gate plan-cached (after)",
+	fmt.Fprintf(&b, "%-36s %14s\n", "GE gate closed form (after)",
 		time.Duration(float64(time.Second)*r.GateFastSeconds).Round(time.Microsecond))
 	fmt.Fprintf(&b, "%-36s %14.2fx\n", "gate speedup", r.GateSpeedup)
 	return b.String()

@@ -92,21 +92,16 @@ func (m *Manager) checkpointLogged(st *Stream) {
 	}
 }
 
-// checkpoint snapshots one stream under its lock and writes the sidecar
-// atomically. Streams that have not seen a row yet have no state worth
-// keeping and are skipped.
+// checkpoint copies one stream under its lock and writes the sidecar
+// atomically, encoding outside the lock as republish does. Streams that
+// have not seen a row yet have no state worth keeping and are skipped.
 func (m *Manager) checkpoint(st *Stream) error {
 	st.mu.Lock()
 	if st.sm == nil {
 		st.mu.Unlock()
 		return nil
 	}
-	var stream bytes.Buffer
-	if err := st.sm.Save(&stream); err != nil {
-		st.mu.Unlock()
-		m.met.checkpoints.With("error").Inc()
-		return fmt.Errorf("online: saving stream %q: %w", st.name, err)
-	}
+	sm := st.sm.Clone()
 	cp := streamCheckpoint{
 		Format:      checkpointFormat,
 		Name:        st.name,
@@ -119,7 +114,6 @@ func (m *Manager) checkpoint(st *Stream) error {
 		LastCandGE:  st.lastCandGE,
 		LastServGE:  st.lastServedGE,
 		Reservoir:   append([][]float64(nil), st.reservoir...),
-		Stream:      stream.Bytes(),
 
 		GEHistory:     append([]GESample(nil), st.geHistory...),
 		Outcomes:      append([]bool(nil), st.outcomes...),
@@ -128,6 +122,12 @@ func (m *Manager) checkpoint(st *Stream) error {
 		AutoRollbacks: st.autoRollbacks,
 	}
 	st.mu.Unlock()
+	var stream bytes.Buffer
+	if err := sm.Save(&stream); err != nil {
+		m.met.checkpoints.With("error").Inc()
+		return fmt.Errorf("online: saving stream %q: %w", st.name, err)
+	}
+	cp.Stream = stream.Bytes()
 	versions, _ := m.store.Versions(st.name)
 	for _, info := range versions {
 		if info.GE != nil {

@@ -28,7 +28,6 @@
 package online
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -631,34 +630,9 @@ func (m *Manager) republish(ctx context.Context, name string) (RepublishResult, 
 		return RepublishResult{}, fmt.Errorf("%w: %q", ErrNoStream, name)
 	}
 
-	// Snapshot under the stream lock: Save is O(M²), the eigensolve
-	// below is O(M³) and runs on the copy, so pushes stall only for the
-	// cheap part. The reservoir slice header is copied; rows are
-	// immutable once sampled (offer stores fresh copies), so sharing
-	// them with a concurrent replacement is safe — the holdout is
-	// simply the sample as of this instant.
-	st.mu.Lock()
-	if st.sm == nil || st.sm.Count() < 2 {
-		count := 0
-		if st.sm != nil {
-			count = st.sm.Count()
-		}
-		st.mu.Unlock()
-		return RepublishResult{}, fmt.Errorf("%w: %q has %d rows", errTooFewRows, name, count)
-	}
-	var buf bytes.Buffer
-	if err := st.sm.Save(&buf); err != nil {
-		st.mu.Unlock()
-		return RepublishResult{}, fmt.Errorf("online: snapshotting stream %q: %w", name, err)
-	}
-	holdout := append([][]float64(nil), st.reservoir...)
-	st.pending = 0
-	st.republishes++
-	st.mu.Unlock()
-
-	clone, err := core.LoadStreamMiner(&buf)
+	clone, holdout, err := st.snapshot()
 	if err != nil {
-		return RepublishResult{}, fmt.Errorf("online: cloning stream %q: %w", name, err)
+		return RepublishResult{}, err
 	}
 	candidate, err := clone.Rules()
 	if err != nil {
@@ -722,6 +696,29 @@ func (m *Manager) republish(ctx context.Context, name string) (RepublishResult, 
 		m.checkpointLogged(st)
 	}
 	return res, nil
+}
+
+// snapshot starts a republish: it copies the stream's sufficient
+// statistics and holdout under the stream lock and clears the pending
+// count. The copy is O(M²); the eigensolve that follows is O(M³) and
+// runs on the copy, so pushes stall only for the cheap part. The
+// reservoir slice header is copied; rows are immutable once sampled
+// (offer stores fresh copies), so sharing them with a concurrent
+// replacement is safe — the holdout is simply the sample as of this
+// instant.
+func (s *Stream) snapshot() (*core.StreamMiner, [][]float64, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.sm == nil || s.sm.Count() < 2 {
+		count := 0
+		if s.sm != nil {
+			count = s.sm.Count()
+		}
+		return nil, nil, fmt.Errorf("%w: %q has %d rows", errTooFewRows, s.name, count)
+	}
+	s.pending = 0
+	s.republishes++
+	return s.sm.Clone(), append([][]float64(nil), s.reservoir...), nil
 }
 
 // geGate decides promotion: compare the candidate's GE₁ on the holdout

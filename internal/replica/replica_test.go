@@ -3,6 +3,7 @@ package replica
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -10,6 +11,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -167,6 +169,26 @@ func TestWireCorruption(t *testing.T) {
 	bad[4], bad[5], bad[6], bad[7] = 0xff, 0xff, 0xff, 0xff
 	if _, err := ReadFrame(bytes.NewReader(bad)); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("absurd length err = %v, want ErrBadFrame", err)
+	}
+}
+
+// TestReadFrameLyingLengthAllocatesLittle: a header that claims the
+// largest legal payload and is followed by nothing must fail as
+// truncated without allocating the claimed 64 MiB. The bound, 256 KiB,
+// covers the first payloadStep buffer and the error path.
+func TestReadFrameLyingLengthAllocatesLittle(t *testing.T) {
+	var hdr [frameHeaderLen]byte
+	binary.LittleEndian.PutUint32(hdr[0:], snapshotMagic)
+	binary.LittleEndian.PutUint32(hdr[4:], maxFramePayload)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadFrame(bytes.NewReader(hdr[:]))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("lying header: got %v, want ErrBadFrame", err)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > 256<<10 {
+		t.Fatalf("a %d-byte input claiming %d bytes allocated %d bytes", len(hdr), maxFramePayload, n)
 	}
 }
 

@@ -11,6 +11,7 @@
 package replica
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -46,6 +47,11 @@ const (
 	// maxFramePayload bounds a single frame; snapshots of realistic rule
 	// stores are far smaller, and a corrupt length must not allocate GBs.
 	maxFramePayload = 64 << 20
+
+	// payloadStep is the most ReadFrame allocates ahead of the bytes it
+	// has received: a header may claim up to maxFramePayload, and the
+	// buffer grows only as the payload actually arrives.
+	payloadStep = 64 << 10
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -107,6 +113,18 @@ func AppendHeartbeat(dst []byte, seq uint64) []byte {
 	return appendFrame(dst, heartbeatMagic, payload[:])
 }
 
+// readPayload reads exactly n bytes from r. The buffer starts at no
+// more than payloadStep and grows only as bytes arrive, so a lying
+// length costs memory in proportion to what was really received.
+func readPayload(r io.Reader, n int) ([]byte, error) {
+	var buf bytes.Buffer
+	buf.Grow(min(n, payloadStep))
+	if _, err := io.CopyN(&buf, r, int64(n)); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
 // ReadFrame decodes the next frame from r. io.EOF passes through
 // untouched when the stream ends cleanly between frames; everything
 // else wraps ErrBadFrame.
@@ -128,8 +146,8 @@ func ReadFrame(r io.Reader) (Frame, error) {
 	if n > maxFramePayload {
 		return Frame{}, fmt.Errorf("replica: frame payload %d bytes: %w", n, ErrBadFrame)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	payload, err := readPayload(r, int(n))
+	if err != nil {
 		return Frame{}, fmt.Errorf("replica: truncated frame payload: %w", ErrBadFrame)
 	}
 	crc := crc32.Checksum(hdr[:], castagnoli)

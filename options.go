@@ -99,7 +99,7 @@ func Workers(n int) Opt { return func(o *Options) { o.Workers = n } }
 func Sigma(s float64) Opt { return func(o *Options) { o.Sigma = s } }
 
 // MinerOpts appends raw core mining options (WithJacobiSolver,
-// WithSubspaceSolver, ...) for configuration the named setters do not
+// WithLanczosSolver, ...) for configuration the named setters do not
 // cover.
 func MinerOpts(opts ...Option) Opt {
 	return func(o *Options) { o.MinerOpts = append(o.MinerOpts, opts...) }
